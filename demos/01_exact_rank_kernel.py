@@ -1,9 +1,11 @@
 """Tour of the exact prime-field linear algebra underneath everything else.
 
 Every rank and kernel in this package is computed over F_p with p just
-below 2**31, using int64 arrays and one reduction per operation.  There
-is no floating point anywhere, so there are no tolerances: a rank is a
-theorem about that prime and that matrix.
+below 2**31, using int64 arrays and one reduction per operation.  Large
+eliminations run their block products on float64 BLAS, but only on
+16-bit pieces whose sums stay below 2**53, where float64 is exact, so
+there are no tolerances: a rank is a theorem about that prime and that
+matrix.
 """
 
 import numpy as np

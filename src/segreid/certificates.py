@@ -12,6 +12,7 @@ numeric fields.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -160,8 +161,19 @@ class Certificate:
         return replace(self, wall_time_s=None)
 
 
+@functools.cache
+def _schema_validator():
+    """CERTIFICATE_SCHEMA's validator, checked and built on first use only."""
+    cls = jsonschema.validators.validator_for(CERTIFICATE_SCHEMA)
+    cls.check_schema(CERTIFICATE_SCHEMA)
+    return cls(CERTIFICATE_SCHEMA)
+
+
 def validate_certificate_dict(d: dict) -> None:
-    jsonschema.validate(d, CERTIFICATE_SCHEMA)
+    """Raise the error ``jsonschema.validate(d, CERTIFICATE_SCHEMA)`` would raise."""
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(d))
+    if error is not None:
+        raise error
 
 
 def certificate_from_dict(d: dict) -> Certificate:

@@ -7,10 +7,24 @@ capped below 2**31: ``a * b <= (p - 1)**2 < 2**62`` and
 ``a - b * c > -2**62`` both stay inside int64, so one reduction per
 operation suffices and no intermediate ever overflows.
 
-Elimination is plain Gaussian elimination over F_p with the first
-nonzero entry as pivot.  No fraction-free or block tricks: the matrices
-here top out around 1000 x 1024 and the vectorized row updates are fast
-enough.
+Elimination is a blocked, right-looking Gaussian elimination over F_p.
+Columns are taken in panels of ``_PANEL``; each panel is eliminated by
+the first-nonzero-pivot loop, and the rest of the matrix receives the
+panel's row operations as one matrix product, done on float64 BLAS in
+16-bit limbs.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is
+eliminated by the pivot loop alone.  An entry below 2**31 splits as ``hi * 2**16 + lo`` with
+``hi < 2**15`` and ``lo < 2**16``, so every limb product is below 2**32
+and a sum of at most ``_MAX_INNER = 2**20`` of them is an integer below
+2**52.  Float64 represents every integer below 2**53 exactly, so each
+limb product is exact whatever order or thread count BLAS sums in, and
+the results do not depend on the BLAS build.  The limbs recombine in
+int64 as ``(hh % p) * (2**32 % p) + (mid % p) * 2**16 + ll``, which
+stays below 2**63, and are reduced once.
+
+Whatever rows the pivots come from, elimination that takes columns left
+to right finds the same pivot columns, and the reduced echelon form of
+a matrix is unique, so ranks and kernels are the same as those of the
+plain row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -111,18 +125,55 @@ def _as_matrix(mat, p: int) -> np.ndarray:
     return a % p
 
 
-def _echelon(mat, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form; fully reduced above the pivots when asked.
+# Columns per elimination panel.
+_PANEL = 64
+# Up to this width the pivot loop alone is faster than the blocked
+# elimination, whose bookkeeping costs more than it saves on a
+# matrix of two panels.
+_PLAIN_MAX_COLS = 2 * _PANEL
+# Columns per slab of the trailing update, which bounds its temporaries.
+_SLAB = 128
+# Largest inner dimension of _matmul_mod: 2**20 limb products below 2**32
+# sum to less than 2**52, inside float64's exact integers.
+_MAX_INNER = 1 << 20
+
+
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``x @ y mod p`` of residue matrices, as four float64 products.
+
+    Raises ValueError when the inner dimension exceeds ``_MAX_INNER``,
+    beyond which a limb sum could leave float64's exact integers.
+    """
+    if x.shape[1] > _MAX_INNER:
+        raise ValueError(
+            f"inner dimension {x.shape[1]} above {_MAX_INNER}: limb sums would be inexact"
+        )
+    xh = (x >> 16).astype(np.float64)
+    xl = (x & 0xFFFF).astype(np.float64)
+    yh = (y >> 16).astype(np.float64)
+    yl = (y & 0xFFFF).astype(np.float64)
+    hh = (xh @ yh).astype(np.int64)
+    mid = (xh @ yl + xl @ yh).astype(np.int64)
+    ll = (xl @ yl).astype(np.int64)
+    return ((hh % p) * ((1 << 32) % p) + (mid % p) * (1 << 16) + ll) % p
+
+
+def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
+    """Eliminate columns ``[0, width)`` of ``a`` in place; return their pivots.
 
     Pivot choice is the first nonzero entry of the column.  Each row
     update is one vectorized multiply-subtract with a single reduction,
-    valid because entries stay below p < 2**31.
+    valid because entries stay below p < 2**31.  Row operations act on
+    whole rows.  With a ``swaps`` list, each row swap is appended to it
+    and the j-th pivot row gets a 1 in column ``width + j``; then, if
+    those columns start at zero, they end holding each row as a
+    combination of the pivot rows as they were on entry (plus the row's
+    own entry value, for a row that is not a pivot).
     """
-    a = _as_matrix(mat, p)
-    rows, cols = a.shape
+    rows = a.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(width):
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -131,8 +182,15 @@ def _echelon(mat, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+            if swaps is not None:
+                swaps.append((r, piv))
+        # columns past ``end`` are zero in the pivot row
+        end = None
+        if swaps is not None:
+            a[r, width + r] = 1
+            end = width + r + 1
         inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] * inv) % p
+        a[r, c:end] = (a[r, c:end] * inv) % p
         if reduced:
             f = a[:, c].copy()
             f[r] = 0
@@ -141,15 +199,68 @@ def _echelon(mat, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
             f[r + 1 :] = a[r + 1 :, c]
         hit = np.nonzero(f)[0]
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - f[hit, None] * a[r, c:]) % p
+            a[hit, c:end] = (a[hit, c:end] - f[hit, None] * a[r, c:end]) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+    """Pivot columns of the residue matrix ``a``, eliminated in place.
+
+    With ``reduced``, ``a`` ends in reduced row echelon form; otherwise
+    only the pivots are meaningful.  Each panel of columns is eliminated
+    by ``_pivot_loop`` on a copy that also records the panel's row
+    operations as coefficients over its k pivot rows.  Every other row
+    then receives those operations in one product ``coef @ pivot rows``,
+    slab by slab: the rows below when ``not reduced``, all rows (those
+    above eliminated too, Gauss-Jordan style) when ``reduced``.
+    """
+    rows, cols = a.shape
+    if cols <= _PLAIN_MAX_COLS:
+        return _pivot_loop(a, p, reduced, cols)
+    pivots: list[int] = []
+    r0 = 0
+    for c0 in range(0, cols, _PANEL):
+        if r0 == rows:
+            break
+        c1 = min(c0 + _PANEL, cols)
+        w = c1 - c0
+        panel = np.zeros((rows - r0, 2 * w), dtype=np.int64)
+        panel[:, :w] = a[r0:, c0:c1]
+        swaps: list[tuple[int, int]] = []
+        local = _pivot_loop(panel, p, reduced, w, swaps)
+        k = len(local)
+        if k == 0:
+            continue
+        for i, j in swaps:
+            a[[r0 + i, r0 + j], c0:] = a[[r0 + j, r0 + i], c0:]
+        # new pivot rows = coef[:k] @ old pivot rows; other rows r0.. =
+        # old row + coef[k:] @ old pivot rows
+        coef = panel[:, w : w + k]
+        if reduced:
+            # rows above lose their pivot-column entries times the new
+            # pivot rows
+            above = _matmul_mod(a[:r0, [c0 + c for c in local]], coef[:k], p)
+            lo, start = 0, c0
+            coef = np.vstack([(-above) % p, coef])
+            coef[r0 + np.arange(k), np.arange(k)] -= 1
+            coef %= p
+        else:
+            lo, start = r0 + k, c1
+            coef = coef[k:]
+        top = a[r0 : r0 + k]
+        for s0 in range(start, cols, _SLAB):
+            s = slice(s0, min(s0 + _SLAB, cols))
+            a[lo:, s] = (a[lo:, s] + _matmul_mod(coef, top[:, s], p)) % p
+        pivots.extend(c0 + c for c in local)
+        r0 += k
+    return pivots
 
 
 def ff_rank(mat, p: int) -> int:
     """Rank over F_p."""
-    return len(_echelon(mat, p, reduced=False)[1])
+    return len(_eliminate(_as_matrix(mat, p), p, reduced=False))
 
 
 def ff_kernel(mat, p: int) -> np.ndarray:
@@ -160,37 +271,31 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     exactly for each.  Free columns get a unit coordinate, so the basis
     is in reduced echelon shape itself.
     """
-    a, pivots = _echelon(mat, p, reduced=True)
+    a = _as_matrix(mat, p)
+    pivots = _eliminate(a, p, reduced=True)
     cols = a.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-int(a[row, fc])) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-a[: len(pivots), free].T) % p
     return basis
 
 
 def ff_matvec(mat, vec, p: int) -> np.ndarray:
-    """Exact matrix-vector product mod p (reduction per column)."""
+    """Exact matrix-vector product mod p."""
     a = _as_matrix(mat, p)
     v = np.asarray(vec, dtype=np.int64) % p
     if a.shape[1] != v.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {v.shape}")
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(a.shape[1]):
-        out = (out + a[:, j] * int(v[j])) % p
-    return out
+    return _matmul_mod(a, v[:, None], p)[:, 0]
 
 
 def ff_matmul(a, b, p: int) -> np.ndarray:
-    """Exact matrix product mod p (reduction per inner index)."""
+    """Exact matrix product mod p."""
     a = _as_matrix(a, p)
     b = _as_matrix(b, p)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for j in range(a.shape[1]):
-        out = (out + a[:, j, None] * b[None, j, :]) % p
-    return out
+    return _matmul_mod(a, b, p)

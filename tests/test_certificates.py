@@ -159,3 +159,21 @@ def test_propagated_certificate_recomputes_support():
     out = verdict_from_certificate(cert)
     assert out.status is VerdictStatus.IDENTIFIABLE_CERTIFIED
     assert out.support_k == 8
+
+
+def test_validation_raises_what_jsonschema_validate_raises():
+    base = weak_cert().to_dict()
+    bad = [
+        {**base, "surprise": 1},
+        {**base, "k": 0, "verdict": "Maybe"},
+        {**base, "shape": [1], "coranks": "none"},
+        {k: v for k, v in base.items() if k != "prime"},
+    ]
+    for d in bad:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(d, CERTIFICATE_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_certificate_dict(d)
+        assert got.value.message == want.value.message
+        assert list(got.value.absolute_path) == list(want.value.absolute_path)
+        assert got.value.validator == want.value.validator

@@ -1,0 +1,136 @@
+"""The blocked elimination against the unblocked oracle and sympy.
+
+The reduced echelon form is unique, so the blocked elimination must
+return exactly the oracle's pivots and reduced matrix, and ``ff_kernel``
+exactly the basis the oracle's form gives.  Matrices wider than
+``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
+twice, once routed by width and once with the blocked path forced.
+"""
+
+import numpy as np
+import pytest
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
+
+from echelon_oracle import _echelon, kernel_basis
+from segreid import exactlin
+from segreid.exactlin import ff_kernel, ff_rank
+
+NB = exactlin._PANEL
+CROSSOVER = exactlin._PLAIN_MAX_COLS
+PRIMES = (3, 65521, 2**31 - 1)
+WIDTHS = sorted({NB - 1, NB, NB + 1, CROSSOVER, CROSSOVER + 1, 2 * NB + 1})
+
+
+@pytest.fixture(params=["by-width", "blocked"])
+def path(request, monkeypatch):
+    if request.param == "blocked":
+        monkeypatch.setattr(exactlin, "_PLAIN_MAX_COLS", 0)
+    return request.param
+
+
+def sympy_rank(mat, p):
+    k = GF(p)
+    rows = [[k(int(x)) for x in row] for row in mat]
+    return DomainMatrix(rows, mat.shape, k).rank()
+
+
+def low_rank(rng, rows, cols, rank, p):
+    # entries of the right factor are 0..2, so the int64 product cannot overflow
+    left = rng.integers(0, p, (rows, rank))
+    return (left @ rng.integers(0, 3, (rank, cols))) % p
+
+
+def assert_echelon_matches_oracle(m, p):
+    want, want_pivots = _echelon(m, p, reduced=True)
+    a = exactlin._as_matrix(m, p)
+    assert exactlin._eliminate(a, p, reduced=True) == want_pivots
+    assert np.array_equal(a, want)
+    assert ff_rank(m, p) == len(want_pivots)
+    return want, want_pivots
+
+
+def assert_matches_oracle(m, p):
+    want, want_pivots = assert_echelon_matches_oracle(m, p)
+    basis = ff_kernel(m, p)
+    old = kernel_basis(want, want_pivots, p)
+    assert basis.dtype == old.dtype and basis.shape == old.shape
+    assert basis.tobytes() == old.tobytes()
+    return len(want_pivots)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_dense_tall_and_wide_match_oracle(path, width, p):
+    rng = np.random.default_rng([width, p])
+    for rows in (width // 4 + 1, width + 2):
+        assert_echelon_matches_oracle(rng.integers(0, p, (rows, width)), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dependent_rows_and_zero_columns_match_oracle(p):
+    rng = np.random.default_rng(p)
+    cols = 3 * NB + 5
+    m = low_rank(rng, 2 * NB, cols, NB // 2, p)
+    m[:, rng.integers(0, cols, cols // 4)] = 0
+    assert assert_matches_oracle(m, p) <= NB // 2
+    # rows that repeat or combine earlier rows
+    x = rng.integers(0, p, (5, cols))
+    m = np.vstack([x, (3 * x) % p, (x[:1] + x[1:2]) % p, x[::-1]])
+    assert assert_matches_oracle(m, p) == 5
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_panel_without_pivot_matches_oracle(p):
+    rng = np.random.default_rng([7, p])
+    m = rng.integers(0, p, (NB + 9, 3 * NB + 3))
+    m[:, NB : 2 * NB] = 0
+    assert assert_matches_oracle(m, p) == NB + 9
+    # a panel whose columns repeat the first panel's
+    m = rng.integers(0, p, (NB + 9, 3 * NB + 3))
+    m[:, NB : 2 * NB] = m[:, :NB]
+    assert assert_matches_oracle(m, p) == NB + 9
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_degenerate_shapes_match_oracle(path, p):
+    rng = np.random.default_rng([11, p])
+    wide = 2 * NB + 1
+    assert assert_matches_oracle(np.zeros((7, wide), dtype=np.int64), p) == 0
+    assert assert_matches_oracle(rng.integers(1, p, (1, wide)), p) == 1
+    assert assert_matches_oracle(rng.integers(1, p, (wide, 1)), p) == 1
+    row = np.zeros((1, wide), dtype=np.int64)
+    row[0, -1] = 1
+    assert assert_matches_oracle(row, p) == 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_matches_sympy_across_panels(p):
+    rng = np.random.default_rng([13, p])
+    m = low_rank(rng, 12, 2 * NB + 1, 7, p)
+    assert ff_rank(m, p) == sympy_rank(m, p)
+    m = rng.integers(0, p, (2 * NB + 1, 9))
+    assert ff_rank(m.T, p) == ff_rank(m, p) == sympy_rank(m, p)
+
+
+def test_entries_near_modulus_across_panels():
+    p = 2**31 - 1
+    m = np.full((3 * NB, 3 * NB), p - 1, dtype=np.int64)
+    assert ff_rank(m, p) == 1
+    assert len(ff_kernel(m, p)) == 3 * NB - 1
+
+
+def test_limb_product_exact_at_largest_inner_dimension():
+    p = 2**31 - 1
+    n = exactlin._MAX_INNER
+    x = np.full((2, n), p - 1, dtype=np.int64)
+    x[1] = np.random.default_rng(17).integers(p - 2**16, p, n)
+    y = np.full((n, 1), p - 1, dtype=np.int64)
+    got = exactlin._matmul_mod(x, y, p)
+    assert got.tolist() == [[(p - 1) ** 2 * n % p], [(p - 1) * sum(x[1].tolist()) % p]]
+
+
+def test_limb_product_rejects_inner_dimension_above_limit():
+    n = exactlin._MAX_INNER + 1
+    with pytest.raises(ValueError, match="inner dimension"):
+        exactlin._matmul_mod(np.zeros((1, n), dtype=np.int64), np.zeros((n, 1), dtype=np.int64), 3)

@@ -1,0 +1,26 @@
+"""Certificate digests pinned across versions.
+
+``golden/digests.json`` holds, for four CLI runs at seed 0, the exit
+code and the content digest of every certificate printed, recorded with
+the unblocked row-by-row elimination.  Any change to how ranks and
+kernels are computed must reproduce them exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from segreid.certificates import certificate_from_dict
+from segreid.cli import main
+
+CASES = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_golden_digests_reproduce(case, capsys):
+    code = main(case["argv"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    digests = [certificate_from_dict(d).digest() for d in lines if "schema_version" in d]
+    assert code == case["exit"]
+    assert digests == case["digests"]
