@@ -18,7 +18,7 @@ from segreid import (
 
 five = ProductShape.binary(5)
 res = weak_defectivity_probe(five, 4, seed=0)
-print(f"(P^1)^5 at k=4: observed/expected {res.base.observed_dim}/{res.base.expected_dim}")
+print(f"(P^1)^5 at k=4: observed/expected {res.observed_dim}/{res.expected_dim}")
 print(f"  Terracini kernel dimension: {res.kernel_dim}")
 print(f"  contact coranks at the 5 points: {list(res.coranks)}")
 print(f"  certified: {res.certified} (corank 1 = one-dimensional contact locus)")

@@ -27,9 +27,8 @@ from .bounds import (
 from .certificates import (
     CERTIFICATE_SCHEMA,
     Certificate,
-    arithmetic_certificate,
     certificate_from_dict,
-    certificate_from_probe,
+    certificate_from_verdict,
     validate_certificate_dict,
     verdict_from_certificate,
     write_certificate,
@@ -55,7 +54,6 @@ from .segre import (
     tangent_frame,
 )
 from .tangency import (
-    CorankResult,
     Verdict,
     VerdictStatus,
     contact_corank,
@@ -83,7 +81,6 @@ __all__ = [
     "CERTIFICATE_SCHEMA",
     "COORDINATE_ORDER",
     "Certificate",
-    "CorankResult",
     "DEFAULT_PRIMES",
     "DEFECT_CANDIDATE",
     "DEFECT_EVIDENCE",
@@ -97,10 +94,9 @@ __all__ = [
     "Verdict",
     "VerdictStatus",
     "affine_tangent_frame",
-    "arithmetic_certificate",
     "ceil_log2",
     "certificate_from_dict",
-    "certificate_from_probe",
+    "certificate_from_verdict",
     "check_prime",
     "classify",
     "coerce_point",

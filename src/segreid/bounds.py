@@ -14,6 +14,11 @@ lines embedded in P^(2^m - 1):
   square-root rewriting ``(k+1)^2 <= 2^(m-1)``.  The two forms disagree
   by one near powers of two, which is why both are reported; the
   log-ceiling form is the canonical one for classification.
+
+Two cells are recorded rather than derived, in ``SPECIAL_CELLS``: the
+five-factor k=4 exception and the six-factor k=9 discrepancy.  The
+classifier, the regime reports and the identifiability verdict all read
+that one table.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ NOTE_M6_K9 = (
     " admits no certificate at k=9, yet published tables for this product"
     " report identifiability through k=9; the discrepancy is recorded and the"
     " cell is left undetermined"
+)
+CITE_EXCEPTION_M5K4 = (
+    "five binary factors at k=4: known exception with exactly two rank-5"
+    " decompositions of the general point; the contact locus of a general"
+    " tangent hyperplane is an elliptic normal curve, so coranks are 1"
 )
 
 
@@ -111,16 +121,49 @@ class Regime(str, Enum):
     SMALL_M = "SmallM"
 
 
+@dataclass(frozen=True)
+class SpecialCell:
+    """A binary (m, k) cell whose answer is recorded, not derived.
+
+    ``regime`` overrides classify() (None keeps the computed regime);
+    ``verdict`` is the identifiability verdict's status value, reported
+    with ``cited``; ``notes`` go into both the regime report and the
+    verdict.
+    """
+
+    regime: Regime | None
+    verdict: str
+    cited: tuple[str, ...]
+    notes: tuple[str, ...]
+
+
+SPECIAL_CELLS = {
+    (5, 4): SpecialCell(
+        regime=Regime.KNOWN_EXCEPTION,
+        verdict="KnownExceptionSecantOrder2",
+        cited=(CITE_EXCEPTION_M5K4,),
+        notes=(),
+    ),
+    (6, 9): SpecialCell(
+        regime=None,
+        verdict="Undetermined",
+        cited=(),
+        notes=(NOTE_M6_K9,),
+    ),
+}
+
+
 def classify(m: int, k: int) -> Regime:
     """Place (m, k) in the bound landscape for binary products.
 
-    Order matters: the five-factor k=4 exception sits inside its k_max,
-    while anything above k_max is excluded by counting before the m > 5
-    split between the certified and the conjectured range.
+    Order matters: a recorded exception (SPECIAL_CELLS) sits inside its
+    k_max, while anything above k_max is excluded by counting before the
+    m > 5 split between the certified and the conjectured range.
     """
     _check_mk(m, k)
-    if m == 5 and k == 4:
-        return Regime.KNOWN_EXCEPTION
+    special = SPECIAL_CELLS.get((m, k))
+    if special is not None and special.regime is not None:
+        return special.regime
     if k > k_max(m):
         return Regime.BEYOND_KMAX
     if m > 5 and product_bound_holds(m, k):
@@ -155,8 +198,8 @@ def regime_report(m: int, k: int) -> RegimeReport:
         Regime.SMALL_M: (CITE_KMAX,),
     }[regime]
     notes = (NOTE_BOUND_FORMS,)
-    if m == 6 and k == 9:
-        notes = notes + (NOTE_M6_K9,)
+    if (m, k) in SPECIAL_CELLS:
+        notes += SPECIAL_CELLS[(m, k)].notes
     return RegimeReport(
         m=m,
         k=k,

@@ -15,26 +15,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import jsonschema
 
 from .segre import COORDINATE_ORDER, ProductShape
-from .tangency import CorankResult, Verdict, identifiability_verdict
+from .tangency import Verdict, VerdictStatus, identifiability_verdict
 from .terracini import SecantProbeResult, expected_dim
 
 SCHEMA_VERSION = 1
 GENERATOR_NAME = "splitmix64"
-
-_VERDICT_VALUES = [
-    "IdentifiableCertified",
-    "NotIdentifiableDimensionCount",
-    "KnownExceptionSecantOrder2",
-    "DefectCandidate",
-    "WeaklyDefectiveEvidence",
-    "Undetermined",
-]
 
 CERTIFICATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -87,7 +79,7 @@ CERTIFICATE_SCHEMA = {
             "type": ["array", "null"],
             "items": {"type": "integer", "minimum": 0},
         },
-        "verdict": {"enum": _VERDICT_VALUES},
+        "verdict": {"enum": [status.value for status in VerdictStatus]},
         "propagated_from_k": {"type": ["integer", "null"], "minimum": 1},
         "cited": {"type": "array", "items": {"type": "string"}},
         "notes": {"type": "array", "items": {"type": "string"}},
@@ -205,50 +197,29 @@ def certificate_from_dict(d: dict) -> Certificate:
     )
 
 
-def certificate_from_probe(
-    result,
+def certificate_from_verdict(
     verdict: Verdict,
+    probe: SecantProbeResult | None = None,
+    *,
+    pins: tuple[int, int, int] | None = None,
     wall_time_s: float | None = None,
-    propagated_from_k: int | None = None,
 ) -> Certificate:
-    """Build a certificate from a probe result and its verdict."""
-    base = result.base if isinstance(result, CorankResult) else result
-    cor = result if isinstance(result, CorankResult) else None
-    return Certificate(
-        shape=base.shape.factor_dims,
-        k=base.k,
-        prime=base.prime,
-        seed=base.seed,
-        trials=base.trials,
-        expected_dim=base.expected_dim,
-        observed_dim=base.observed_dim,
-        defect=base.defect,
-        kernel_dim=cor.kernel_dim if cor is not None else None,
-        hyperplane_coeffs=cor.hyperplane_coeffs if cor is not None else None,
-        coranks=cor.coranks if cor is not None else None,
-        verdict=verdict.status.value,
-        propagated_from_k=propagated_from_k,
-        cited=verdict.cited,
-        notes=verdict.notes,
-        wall_time_s=wall_time_s,
-    )
+    """The certificate of the verdict's cell.
 
-
-def arithmetic_certificate(
-    shape: ProductShape,
-    k: int,
-    prime: int,
-    seed: int,
-    trials: int,
-    verdict: Verdict,
-    propagated_from_k: int | None = None,
-) -> Certificate:
-    """Certificate for a cell settled without running its own probe.
-
-    Used for verdicts that follow from arithmetic alone (dimension
-    count, recorded discrepancies) or propagate from a probe at a
-    higher k: the numeric probe fields stay null.
+    ``probe`` is the cell's own probe record: its (prime, seed, trials)
+    and numeric fields are recorded.  A cell settled without a probe of
+    its own (by arithmetic, a recorded special cell, or support from a
+    higher k) passes ``pins=(prime, seed, trials)`` instead, and its
+    numeric probe fields stay null.  propagated_from_k is the verdict's
+    support whenever that lies above the cell's own k.
     """
+    shape, k = verdict.shape, verdict.k
+    if probe is not None:
+        if (probe.shape, probe.k) != (shape, k):
+            raise ValueError("probe and verdict belong to different cells")
+        pins = (probe.prime, probe.seed, probe.trials)
+    prime, seed, trials = pins
+    propagated = verdict.support_k if verdict.support_k != k else None
     return Certificate(
         shape=shape.factor_dims,
         k=k,
@@ -256,15 +227,16 @@ def arithmetic_certificate(
         seed=seed,
         trials=trials,
         expected_dim=expected_dim(shape, k),
-        observed_dim=None,
-        defect=None,
-        kernel_dim=None,
-        hyperplane_coeffs=None,
-        coranks=None,
+        observed_dim=None if probe is None else probe.observed_dim,
+        defect=None if probe is None else probe.defect,
+        kernel_dim=None if probe is None else probe.kernel_dim,
+        hyperplane_coeffs=None if probe is None else probe.hyperplane_coeffs,
+        coranks=None if probe is None else probe.coranks,
         verdict=verdict.status.value,
-        propagated_from_k=propagated_from_k,
+        propagated_from_k=propagated,
         cited=verdict.cited,
         notes=verdict.notes,
+        wall_time_s=wall_time_s,
     )
 
 
@@ -272,60 +244,51 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
     """Recompute the verdict from a certificate's numeric fields.
 
     Every emission checks that this matches the stored verdict.  A
-    propagated certificate reconstructs its support: a certified
-    corank-0 probe at k' = propagated_from_k, which by construction had
-    defect 0 and all coranks 0 there.
+    propagated certificate stands for its support: a certified corank-0
+    probe at k' = propagated_from_k, which by construction attained the
+    expected dimension with every corank 0 there.
     """
     shape = ProductShape(cert.shape)
+    pins = dict(shape=shape, trials=cert.trials, prime=cert.prime, seed=cert.seed)
     probes = []
     if cert.propagated_from_k is not None:
         kk = cert.propagated_from_k
         exp = expected_dim(shape, kk)
-        base = SecantProbeResult(
-            shape=shape,
-            k=kk,
-            trials=cert.trials,
-            prime=cert.prime,
-            seed=cert.seed,
-            observed_dim=exp,
-            expected_dim=exp,
-        )
         probes.append(
-            CorankResult(
-                base=base,
-                kernel_dim=shape.ambient_dim - exp,
-                hyperplane_coeffs=None,
-                coranks=(0,) * (kk + 1),
+            SecantProbeResult(
+                k=kk, observed_dim=exp, expected_dim=exp, coranks=(0,) * (kk + 1), **pins
             )
         )
     if cert.observed_dim is not None:
-        base = SecantProbeResult(
-            shape=shape,
-            k=cert.k,
-            trials=cert.trials,
-            prime=cert.prime,
-            seed=cert.seed,
-            observed_dim=cert.observed_dim,
-            expected_dim=cert.expected_dim,
-        )
-        if cert.coranks is not None or cert.kernel_dim is not None:
-            probes.append(
-                CorankResult(
-                    base=base,
-                    kernel_dim=cert.kernel_dim,
-                    hyperplane_coeffs=cert.hyperplane_coeffs,
-                    coranks=cert.coranks,
-                )
+        probes.append(
+            SecantProbeResult(
+                k=cert.k,
+                observed_dim=cert.observed_dim,
+                expected_dim=cert.expected_dim,
+                kernel_dim=cert.kernel_dim,
+                hyperplane_coeffs=cert.hyperplane_coeffs,
+                coranks=cert.coranks,
+                **pins,
             )
-        else:
-            probes.append(base)
+        )
     return identifiability_verdict(shape, cert.k, probes)
 
 
 def write_certificate(cert: Certificate, directory) -> Path:
-    """Write one content-addressed file; identical replays overwrite in place."""
+    """Write one content-addressed file; identical replays overwrite in place.
+
+    The file appears whole or not at all: the text goes to a temporary
+    file in the same directory, which then replaces the target, and a
+    failed write removes its temporary file.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"cert-{cert.digest()[:16]}.json"
-    path.write_text(cert.json_line() + "\n")
+    tmp = directory / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(cert.json_line() + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

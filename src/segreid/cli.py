@@ -25,19 +25,12 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .bounds import (
-    NOTE_BOUND_FORMS,
-    NOTE_M6_K9,
-    k_max,
-    log_ceiling_bound_max_k,
-    product_bound_max_k,
-    sqrt_bound_max_k_plus_1,
-)
+from .bounds import NOTE_M6_K9, SPECIAL_CELLS, regime_report
 from .certificates import (
-    arithmetic_certificate,
-    certificate_from_probe,
+    certificate_from_verdict,
     validate_certificate_dict,
     verdict_from_certificate,
     write_certificate,
@@ -45,7 +38,6 @@ from .certificates import (
 from .exactlin import DEFAULT_PRIMES, check_prime
 from .segre import ProductShape
 from .tangency import (
-    CorankResult,
     VerdictStatus,
     identifiability_verdict,
     order_one_applicable,
@@ -121,22 +113,23 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0, escalate=True):
         for cell in extra:
             results[cell], walls[cell] = probe_cell(shape, k, trials, *cell)
 
-    certs = []
-    for cell, res in results.items():
-        verdict = identifiability_verdict(shape, k, [res])
-        certs.append(
-            certificate_from_probe(res, verdict, wall_time_s=round(walls[cell], 6))
+    certs = [
+        certificate_from_verdict(
+            identifiability_verdict(shape, k, [res]),
+            res,
+            wall_time_s=round(walls[cell], 6),
         )
+        for cell, res in results.items()
+    ]
 
     evidence = list(results.values())
     aggregate = identifiability_verdict(shape, k, evidence)
-    bases = [r.base if isinstance(r, CorankResult) else r for r in evidence]
     summary = {
         "type": "summary",
         "shape": list(shape.factor_dims),
         "k": k,
         "verdict": aggregate.status.value,
-        "defect_status": defect_status(bases),
+        "defect_status": defect_status(evidence),
         "certificates": len(certs),
         "cited": list(aggregate.cited),
         "notes": list(aggregate.notes),
@@ -164,7 +157,12 @@ def _sweep_cell(cell):
         res, _ = probe_cell(shape, k, trials, prime, seed)
         return cell, res, None
     except Exception as exc:  # keep the pool alive, report the cell
-        return cell, None, "%s: %s" % (type(exc).__name__, exc)
+        error = {
+            "cell": list(cell[:3]),
+            "error": "%s: %s" % (type(exc).__name__, exc),
+            "traceback": traceback.format_exc(),
+        }
+        return cell, None, error
 
 
 def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=None):
@@ -194,7 +192,7 @@ def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=No
         outcomes = [_sweep_cell(cell) for cell in cells]
     for cell, res, err in outcomes:
         if err is not None:
-            errors.append({"cell": list(cell[:3]), "error": err})
+            errors.append(err)
         else:
             results[cell] = res
 
@@ -205,28 +203,28 @@ def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=No
     certs = []
     for cell in sorted(results, key=lambda c: (len(c[0]), c[1], c[2])):
         dims, k, prime = cell[0], cell[1], cell[2]
-        shape = ProductShape(dims)
-        verdict = identifiability_verdict(shape, k, by_mp[(dims, prime)])
-        prop = None
-        if verdict.support_k is not None and verdict.support_k != k:
-            prop = verdict.support_k
-        certs.append(
-            certificate_from_probe(results[cell], verdict, propagated_from_k=prop)
-        )
+        verdict = identifiability_verdict(ProductShape(dims), k, by_mp[(dims, prime)])
+        certs.append(certificate_from_verdict(verdict, results[cell]))
     return certs, errors
 
 
 def _bounds_row(m):
-    note = NOTE_BOUND_FORMS
-    if m == 6:
-        note = note + "; " + NOTE_M6_K9
+    """The bounds row of m, read off its regime reports.
+
+    The notes of the reports at k=1 and at every special cell of this m
+    are joined, so a recorded cell's note shows in its m's row.
+    """
+    ks = [1] + sorted(k for mm, k in SPECIAL_CELLS if mm == m)
+    reports = [regime_report(m, k) for k in ks]
+    notes = dict.fromkeys(note for rep in reports for note in rep.notes)
+    rep = reports[0]
     return {
         "m": m,
-        "k_max": k_max(m),
-        "product_bound_max_k": product_bound_max_k(m),
-        "log_ceiling_bound_max_k": log_ceiling_bound_max_k(m),
-        "sqrt_bound_max_k_plus_1": sqrt_bound_max_k_plus_1(m),
-        "note": note,
+        "k_max": rep.k_max,
+        "product_bound_max_k": rep.product_bound_max_k,
+        "log_ceiling_bound_max_k": rep.log_ceiling_bound_max_k,
+        "sqrt_bound_max_k_plus_1": rep.sqrt_bound_max_k_plus_1,
+        "note": "; ".join(notes),
     }
 
 _BOUNDS_COLUMNS = (
@@ -362,14 +360,9 @@ def _reproduce_m6table(store):
     for k in range(1, 10):
         verdict = identifiability_verdict(shape, k, [res8])
         if k == 8:
-            cert = certificate_from_probe(res8, verdict, wall_time_s=round(wall, 6))
+            cert = certificate_from_verdict(verdict, res8, wall_time_s=round(wall, 6))
         else:
-            prop = None
-            if verdict.support_k is not None and verdict.support_k != k:
-                prop = verdict.support_k
-            cert = arithmetic_certificate(
-                shape, k, prime, seed, trials, verdict, propagated_from_k=prop
-            )
+            cert = certificate_from_verdict(verdict, pins=(prime, seed, trials))
         certs.append(cert)
     for cert in certs:
         _emit(cert, store)

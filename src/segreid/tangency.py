@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import NOTE_M6_K9
+from .bounds import SPECIAL_CELLS
 from .exactlin import (
     DEFAULT_PRIMES,
     SplitMix64,
@@ -67,11 +67,6 @@ CITE_ORDER_ONE = (
 )
 CITE_MONOTONE = (
     "not k'-weakly defective propagates to every k <= k'"
-)
-CITE_EXCEPTION_M5K4 = (
-    "five binary factors at k=4: known exception with exactly two rank-5"
-    " decompositions of the general point; the contact locus of a general"
-    " tangent hyperplane is an elliptic normal curve, so coranks are 1"
 )
 CITE_DEFECT_EVIDENCE = (
     "every sampled Terracini rank fell short of the expected dimension;"
@@ -257,46 +252,6 @@ def contact_corank(shape: ProductShape, h, point, p: int, chart=None) -> int:
     return shape.dim - ff_rank(jac, p)
 
 
-@dataclass(frozen=True)
-class CorankResult:
-    """Outcome of a weak-defectivity probe at one (prime, seed).
-
-    ``coranks`` holds the contact coranks at the k+1 probed points for
-    the recorded kernel combination, or None when no defect-free trial
-    produced a hyperplane to test.
-    """
-
-    base: SecantProbeResult
-    kernel_dim: int | None
-    hyperplane_coeffs: tuple[int, ...] | None
-    coranks: tuple[int, ...] | None
-
-    @property
-    def shape(self) -> ProductShape:
-        return self.base.shape
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def prime(self) -> int:
-        return self.base.prime
-
-    @property
-    def seed(self) -> int:
-        return self.base.seed
-
-    @property
-    def defect(self) -> int:
-        return self.base.defect
-
-    @property
-    def certified(self) -> bool:
-        """True when some trial found every contact corank equal to 0."""
-        return self.coranks is not None and all(c == 0 for c in self.coranks)
-
-
 def order_one_applicable(shape: ProductShape, k: int) -> bool:
     """True when k*dim X + dim X + k < r, the strict regime of the order-1 criterion."""
     return shape.dim * k + shape.dim + k < shape.ambient_dim
@@ -308,7 +263,7 @@ def weak_defectivity_probe(
     trials: int = 3,
     prime: int = DEFAULT_PRIMES[0],
     seed: int = 0,
-) -> CorankResult:
+) -> SecantProbeResult:
     """Sample tangent hyperplanes at k+1 random points and probe contact loci.
 
     Requires k*dim X + dim X + k < r; above that no general tangent
@@ -362,7 +317,9 @@ def weak_defectivity_probe(
             coranks = trial_coranks
         if all(c == 0 for c in trial_coranks):
             break
-    base = SecantProbeResult(
+    if coranks is None:
+        kernel_dim = r - best
+    return SecantProbeResult(
         shape=shape,
         k=k,
         trials=trials,
@@ -370,11 +327,6 @@ def weak_defectivity_probe(
         seed=seed,
         observed_dim=best,
         expected_dim=exp,
-    )
-    if coranks is None:
-        kernel_dim = r - best
-    return CorankResult(
-        base=base,
         kernel_dim=kernel_dim,
         hyperplane_coeffs=coeffs,
         coranks=coranks,
@@ -401,15 +353,16 @@ class Verdict:
 
 
 def identifiability_verdict(
-    shape: ProductShape, k: int, probes: Sequence
+    shape: ProductShape, k: int, probes: Sequence[SecantProbeResult]
 ) -> Verdict:
     """Combine probe outcomes into one verdict for (shape, k).
 
-    Rules, in order: the recorded six-binary-factor k=9 discrepancy is
-    reported undetermined; a dimension count above the ambient
-    dimension is a proof of non-identifiability; five binary factors at
-    k=4 is the known order-2 exception; a certified corank-0 probe at
-    any k' >= k (with the order-1 criterion applicable at k') certifies
+    Rules, in order: a binary cell recorded in SPECIAL_CELLS gets its
+    recorded verdict, unless the probes certify identifiability there,
+    which contradicts the record and raises ValueError; a dimension
+    count above the ambient dimension is a proof of
+    non-identifiability; a certified corank-0 probe at any k' >= k
+    (with the order-1 criterion applicable at k') certifies
     identifiability down at k; otherwise the strongest available
     evidence is reported, or Undetermined.
     """
@@ -417,13 +370,28 @@ def identifiability_verdict(
         raise ValueError("k must be >= 1")
     count = shape.dim * k + shape.dim + k
     r = shape.ambient_dim
-    if shape.is_binary and shape.num_factors == 6 and k == 9:
+    support = [
+        pr
+        for pr in probes
+        if pr.shape == shape
+        and pr.k >= k
+        and pr.certified
+        and order_one_applicable(shape, pr.k)
+    ]
+    special = SPECIAL_CELLS.get((shape.num_factors, k)) if shape.is_binary else None
+    if special is not None:
+        if support:
+            raise ValueError(
+                f"probes at k={min(pr.k for pr in support)} certify"
+                f" identifiability of the binary cell m={shape.num_factors}"
+                f" k={k}, contradicting its recorded verdict {special.verdict}"
+            )
         return Verdict(
-            status=VerdictStatus.UNDETERMINED,
+            status=VerdictStatus(special.verdict),
             shape=shape,
             k=k,
-            cited=(),
-            notes=(NOTE_M6_K9,),
+            cited=special.cited,
+            notes=special.notes,
         )
     if count > r:
         return Verdict(
@@ -432,22 +400,6 @@ def identifiability_verdict(
             k=k,
             cited=(CITE_DIM_COUNT,),
         )
-    if shape.is_binary and shape.num_factors == 5 and k == 4:
-        return Verdict(
-            status=VerdictStatus.KNOWN_EXCEPTION_SECANT_ORDER_2,
-            shape=shape,
-            k=k,
-            cited=(CITE_EXCEPTION_M5K4,),
-        )
-    support = [
-        pr
-        for pr in probes
-        if isinstance(pr, CorankResult)
-        and pr.shape == shape
-        and pr.k >= k
-        and pr.certified
-        and order_one_applicable(shape, pr.k)
-    ]
     if support:
         best = min(support, key=lambda pr: pr.k)
         cited = (CITE_RANK_CERTIFICATE, CITE_CORANK_ZERO, CITE_ORDER_ONE)
@@ -460,13 +412,8 @@ def identifiability_verdict(
             cited=cited,
             support_k=best.k,
         )
-    own = [
-        pr
-        for pr in probes
-        if getattr(pr, "shape", None) == shape and getattr(pr, "k", None) == k
-    ]
-    bases = [pr.base if isinstance(pr, CorankResult) else pr for pr in own]
-    label = defect_status(bases) if bases else None
+    own = [pr for pr in probes if pr.shape == shape and pr.k == k]
+    label = defect_status(own) if own else None
     if label is not None:
         notes = (label,) if label == DEFECT_EVIDENCE else ()
         return Verdict(
@@ -476,14 +423,7 @@ def identifiability_verdict(
             cited=(CITE_DEFECT_EVIDENCE,),
             notes=notes,
         )
-    weak = [
-        pr
-        for pr in own
-        if isinstance(pr, CorankResult)
-        and pr.coranks is not None
-        and any(c > 0 for c in pr.coranks)
-    ]
-    if weak:
+    if any(pr.coranks is not None and any(pr.coranks) for pr in own):
         return Verdict(
             status=VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE,
             shape=shape,

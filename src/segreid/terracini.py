@@ -46,7 +46,14 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SecantProbeResult:
-    """Outcome of a secant dimension probe at one (prime, seed)."""
+    """Evidence from one probe at one (prime, seed).
+
+    Every probe records the best observed secant dimension.  A tangency
+    probe also records the Terracini kernel dimension and, when a trial
+    attained the expected dimension, the kernel combination it drew and
+    the contact coranks at its k+1 points; a dimension probe leaves
+    those fields None.
+    """
 
     shape: ProductShape
     k: int
@@ -55,6 +62,9 @@ class SecantProbeResult:
     seed: int
     observed_dim: int
     expected_dim: int
+    kernel_dim: int | None = None
+    hyperplane_coeffs: tuple[int, ...] | None = None
+    coranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.observed_dim > self.expected_dim:
@@ -63,6 +73,11 @@ class SecantProbeResult:
     @property
     def defect(self) -> int:
         return self.expected_dim - self.observed_dim
+
+    @property
+    def certified(self) -> bool:
+        """True when every recorded contact corank is 0."""
+        return self.coranks is not None and all(c == 0 for c in self.coranks)
 
 
 def secant_dim_probe(

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from segreid.bounds import NOTE_M6_K9, product_bound_max_k
-from segreid.certificates import certificate_from_probe, validate_certificate_dict
+from segreid.certificates import certificate_from_verdict, validate_certificate_dict
 from segreid.cli import main, run_sweep
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_matvec, ff_rank
 from segreid.segre import ProductShape, random_point, segre_embed, tangent_frame
@@ -344,10 +344,10 @@ def test_acceptance_8_bit_exact_replay():
     recorded = []
     s4, s5, s6, s7 = (ProductShape.binary(m) for m in (4, 5, 6, 7))
     r = secant_dim_probe(s4, 2, prime=DEFAULT_PRIMES[1], seed=3)
-    recorded.append(certificate_from_probe(r, identifiability_verdict(s4, 2, [r])))
+    recorded.append(certificate_from_verdict(identifiability_verdict(s4, 2, [r]), r))
     for s, k in [(s5, 4), (s6, 8), (s7, 8)]:
         r = weak_defectivity_probe(s, k, seed=2)
-        recorded.append(certificate_from_probe(r, identifiability_verdict(s, k, [r])))
+        recorded.append(certificate_from_verdict(identifiability_verdict(s, k, [r]), r))
     for cert in recorded:
         d = json.loads(cert.json_line())
         validate_certificate_dict(d)
@@ -360,8 +360,8 @@ def test_acceptance_8_bit_exact_replay():
             res = weak_defectivity_probe(
                 shape, d["k"], trials=d["trials"], prime=d["prime"], seed=d["seed"]
             )
-        replay = certificate_from_probe(
-            res, identifiability_verdict(shape, d["k"], [res])
+        replay = certificate_from_verdict(
+            identifiability_verdict(shape, d["k"], [res]), res
         )
         ok = ok and replay.without_wall_time() == cert.without_wall_time()
         ok = ok and replay.digest() == cert.digest()

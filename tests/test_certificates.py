@@ -1,13 +1,14 @@
 import json
+import os
+import pathlib
 
 import jsonschema
 import pytest
 
 from segreid.certificates import (
     CERTIFICATE_SCHEMA,
-    arithmetic_certificate,
     certificate_from_dict,
-    certificate_from_probe,
+    certificate_from_verdict,
     validate_certificate_dict,
     verdict_from_certificate,
     write_certificate,
@@ -28,7 +29,7 @@ def weak_cert(m=5, k=4, seed=0, wall=None):
     s = ProductShape.binary(m)
     res = weak_defectivity_probe(s, k, seed=seed)
     verdict = identifiability_verdict(s, k, [res])
-    return certificate_from_probe(res, verdict, wall_time_s=wall)
+    return certificate_from_verdict(verdict, res, wall_time_s=wall)
 
 
 def test_probe_certificate_validates():
@@ -46,7 +47,7 @@ def test_secant_only_certificate_has_null_tangency_fields():
     s = ProductShape.binary(4)
     res = secant_dim_probe(s, 2, seed=0)
     verdict = identifiability_verdict(s, 2, [res])
-    cert = certificate_from_probe(res, verdict)
+    cert = certificate_from_verdict(verdict, res)
     d = cert.to_dict()
     validate_certificate_dict(d)
     assert d["kernel_dim"] is None
@@ -56,10 +57,10 @@ def test_secant_only_certificate_has_null_tangency_fields():
     assert d["verdict"] == "DefectCandidate"
 
 
-def test_arithmetic_certificate_null_numerics():
+def test_unprobed_certificate_null_numerics():
     s = ProductShape.binary(6)
     verdict = identifiability_verdict(s, 9, [])
-    cert = arithmetic_certificate(s, 9, P, 0, 3, verdict)
+    cert = certificate_from_verdict(verdict, pins=(P, 0, 3))
     d = cert.to_dict()
     validate_certificate_dict(d)
     assert d["observed_dim"] is None
@@ -132,18 +133,18 @@ def test_verdict_recomputes_from_numeric_fields():
     cases = []
     s5 = ProductShape.binary(5)
     res = weak_defectivity_probe(s5, 4, seed=0)
-    cases.append(certificate_from_probe(res, identifiability_verdict(s5, 4, [res])))
+    cases.append(certificate_from_verdict(identifiability_verdict(s5, 4, [res]), res))
     s6 = ProductShape.binary(6)
     res8 = weak_defectivity_probe(s6, 8, seed=0)
-    cases.append(certificate_from_probe(res8, identifiability_verdict(s6, 8, [res8])))
+    cases.append(certificate_from_verdict(identifiability_verdict(s6, 8, [res8]), res8))
     s4 = ProductShape.binary(4)
     r42 = secant_dim_probe(s4, 2, seed=0)
-    cases.append(certificate_from_probe(r42, identifiability_verdict(s4, 2, [r42])))
+    cases.append(certificate_from_verdict(identifiability_verdict(s4, 2, [r42]), r42))
     cases.append(
-        arithmetic_certificate(s4, 3, P, 0, 3, identifiability_verdict(s4, 3, []))
+        certificate_from_verdict(identifiability_verdict(s4, 3, []), pins=(P, 0, 3))
     )
     cases.append(
-        arithmetic_certificate(s6, 9, P, 0, 3, identifiability_verdict(s6, 9, []))
+        certificate_from_verdict(identifiability_verdict(s6, 9, []), pins=(P, 0, 3))
     )
     for cert in cases:
         assert verdict_from_certificate(cert).status.value == cert.verdict
@@ -154,7 +155,8 @@ def test_propagated_certificate_recomputes_support():
     res8 = weak_defectivity_probe(s6, 8, seed=0)
     v3 = identifiability_verdict(s6, 3, [res8])
     assert v3.support_k == 8
-    cert = arithmetic_certificate(s6, 3, P, 0, 3, v3, propagated_from_k=8)
+    cert = certificate_from_verdict(v3, pins=(P, 0, 3))
+    assert cert.propagated_from_k == 8
     validate_certificate_dict(cert.to_dict())
     out = verdict_from_certificate(cert)
     assert out.status is VerdictStatus.IDENTIFIABLE_CERTIFIED
@@ -177,3 +179,39 @@ def test_validation_raises_what_jsonschema_validate_raises():
         assert got.value.message == want.value.message
         assert list(got.value.absolute_path) == list(want.value.absolute_path)
         assert got.value.validator == want.value.validator
+
+
+def test_certificate_rejects_probe_of_another_cell():
+    s = ProductShape.binary(6)
+    res8 = weak_defectivity_probe(s, 8, seed=0)
+    with pytest.raises(ValueError):
+        certificate_from_verdict(identifiability_verdict(s, 3, [res8]), res8)
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_store_write_leaves_no_file(tmp_path, monkeypatch, failing):
+    old = weak_cert(seed=1)
+    old_path = write_certificate(old, tmp_path)
+    old_text = old_path.read_text()
+    cert = weak_cert()
+
+    def partial_write(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    if failing == "write":
+        monkeypatch.setattr(pathlib.Path, "write_text", partial_write)
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_certificate(cert, tmp_path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [old_path.name]
+    assert old_path.read_text() == old_text
+    path = write_certificate(cert, tmp_path)
+    assert certificate_from_dict(json.loads(path.read_text())) == cert
+    assert len(list(tmp_path.iterdir())) == 2

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from segreid import cli
 from segreid.certificates import certificate_from_dict, validate_certificate_dict
 from segreid.cli import ENV_STORE, derive_seed, main, sweep_ks
 from segreid.exactlin import DEFAULT_PRIMES
@@ -169,6 +170,27 @@ def test_sweep_defective_cell_sets_exit_code(capsys):
     assert verdicts[2] == "DefectCandidate"
     summary = parse(lines)[-1]
     assert summary["counter_evidence"] >= 1
+
+
+def test_sweep_cell_error_carries_traceback(capsys, monkeypatch):
+    real = cli.probe_cell
+
+    def flaky(shape, k, trials, prime, seed):
+        if k == 2:
+            raise RuntimeError("injected failure")
+        return real(shape, k, trials, prime, seed)
+
+    monkeypatch.setattr(cli, "probe_cell", flaky)
+    code = main(["sweep", "-m", "5..5", "--primes", P1, "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert parse(captured.out.splitlines())[-1]["errors"] == 1
+    (err,) = parse(captured.err.splitlines())
+    assert err["cell"] == [[1] * 5, 2, DEFAULT_PRIMES[0]]
+    assert err["error"] == "RuntimeError: injected failure"
+    assert err["traceback"].startswith("Traceback (most recent call last)")
+    assert "in flaky" in err["traceback"]
+    assert err["traceback"].rstrip().endswith("RuntimeError: injected failure")
 
 
 def test_sweep_csv_table(tmp_path, capsys):

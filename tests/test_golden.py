@@ -1,9 +1,12 @@
 """Certificate digests pinned across versions.
 
-``golden/digests.json`` holds, for four CLI runs at seed 0, the exit
-code and the content digest of every certificate printed, recorded with
-the unblocked row-by-row elimination.  Any change to how ranks and
-kernels are computed must reproduce them exactly.
+``golden/digests.json`` holds, for five CLI runs at seed 0, the exit
+code and the content digest of every certificate printed: two probes
+and two ``reproduce`` cases recorded with the unblocked row-by-row
+elimination, and ``sweep -m 4..6`` recorded before sweep certificates
+came from the shared certificate constructor.  Any change to how ranks,
+kernels, verdicts or certificates are computed must reproduce them
+exactly.
 """
 
 import json

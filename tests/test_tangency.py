@@ -8,7 +8,6 @@ from segreid.tangency import (
     CITE_MONOTONE,
     NOTE_FILLING,
     NOTE_NO_EVIDENCE,
-    CorankResult,
     VerdictStatus,
     contact_corank,
     contact_jacobian,
@@ -157,7 +156,7 @@ def test_order_one_applicable_boundaries():
 
 def _certified_result(shape, k, prime=P, seed=0):
     exp = expected_dim(shape, k)
-    base = SecantProbeResult(
+    return SecantProbeResult(
         shape=shape,
         k=k,
         trials=3,
@@ -165,9 +164,6 @@ def _certified_result(shape, k, prime=P, seed=0):
         seed=seed,
         observed_dim=exp,
         expected_dim=exp,
-    )
-    return CorankResult(
-        base=base,
         kernel_dim=shape.ambient_dim - exp,
         hyperplane_coeffs=(1,),
         coranks=(0,) * (k + 1),
@@ -185,6 +181,14 @@ def test_verdict_known_exception_wins_over_probe_data():
     res = weak_defectivity_probe(s, 4, seed=0)
     v = identifiability_verdict(s, 4, [res])
     assert v.status is VerdictStatus.KNOWN_EXCEPTION_SECANT_ORDER_2
+
+
+def test_verdict_contradicted_exception_raises():
+    # all coranks 0 on a rank-attaining record certifies what the recorded
+    # m=5 k=4 exception denies; the record must not mask it
+    s = ProductShape.binary(5)
+    with pytest.raises(ValueError, match="m=5 k=4"):
+        identifiability_verdict(s, 4, [_certified_result(s, 4)])
 
 
 def test_verdict_six_lines_k9_recorded_discrepancy():
@@ -236,12 +240,10 @@ def test_verdict_defect_candidate_and_escalation_note():
 def test_verdict_weak_evidence_path():
     s = ProductShape.binary(6)
     exp = expected_dim(s, 2)
-    base = SecantProbeResult(
+    probe = SecantProbeResult(
         shape=s, k=2, trials=3, prime=P, seed=0,
         observed_dim=exp, expected_dim=exp,
-    )
-    probe = CorankResult(
-        base=base, kernel_dim=43, hyperplane_coeffs=(1,) * 43, coranks=(1, 0, 0)
+        kernel_dim=43, hyperplane_coeffs=(1,) * 43, coranks=(1, 0, 0),
     )
     v = identifiability_verdict(s, 2, [probe])
     assert v.status is VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE
