@@ -57,8 +57,8 @@ from .tangency import (
     Verdict,
     VerdictStatus,
     contact_corank,
+    contact_coranks,
     contact_jacobian,
-    first_order_residuals,
     identifiability_verdict,
     order_one_applicable,
     tangency_residuals,
@@ -101,6 +101,7 @@ __all__ = [
     "classify",
     "coerce_point",
     "contact_corank",
+    "contact_coranks",
     "contact_jacobian",
     "defect_status",
     "expected_dim",
@@ -108,7 +109,6 @@ __all__ = [
     "ff_matmul",
     "ff_matvec",
     "ff_rank",
-    "first_order_residuals",
     "identifiability_verdict",
     "k_max",
     "log_ceiling_bound_holds",

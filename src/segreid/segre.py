@@ -95,6 +95,15 @@ def coerce_point(shape: ProductShape, point, p: int) -> tuple[np.ndarray, ...]:
     return factors
 
 
+def coerce_points(shape: ProductShape, points, p: int) -> tuple[np.ndarray, ...]:
+    """``coerce_point`` on each point, stacked per factor: (N, n_i + 1) arrays."""
+    qs = [coerce_point(shape, point, p) for point in points]
+    return tuple(
+        np.array([q[i] for q in qs], dtype=np.int64).reshape(len(qs), size)
+        for i, size in enumerate(shape.coord_sizes)
+    )
+
+
 def random_point(shape: ProductShape, rng: SplitMix64, p: int) -> tuple[np.ndarray, ...]:
     """Point with every coordinate nonzero, so every chart is valid there."""
     return tuple(random_unit_vector(rng, n + 1, p) for n in shape.factor_dims)
@@ -109,30 +118,45 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
     return out
 
 
-def _prefix_suffix(q: tuple[np.ndarray, ...], p: int):
-    """Kronecker products of the factors before and after each slot."""
-    m = len(q)
-    pre = [np.array([1], dtype=np.int64)]
-    for i in range(m):
-        pre.append(np.kron(pre[-1], q[i]) % p)
-    suf = [np.array([1], dtype=np.int64)] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suf[i] = np.kron(q[i], suf[i + 1]) % p
-    return pre, suf
+def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
+    """Per point: the embedded point, then each substitution with j >= first.
+
+    ``qs`` holds each factor's coordinates, (N, n_i + 1).  One pass over
+    the factors, last to first, in place in the returned (N, rows, r + 1)
+    array: step i starts factor i's rows as e_j times the point's product
+    over the later factors, then multiplies the point's and the later
+    factors' rows by q_i.  Nothing else is allocated: freed large
+    temporaries raise malloc's mmap threshold, and the peak memory of
+    the elimination that follows with it.
+    """
+    n = len(qs[0])
+    sizes = [f.shape[1] for f in qs]
+    start = np.cumsum([1] + [d - first for d in sizes])
+    out = np.zeros((n, start[-1], int(np.prod(sizes))), dtype=np.int64)
+    out[:, 0, -1] = 1
+    w = 1
+    for i in range(len(qs) - 1, -1, -1):
+        f, d = qs[i], sizes[i]
+        # (N, rows, n_i + 1, w): the last (n_i + 1) * w columns, in blocks
+        tail = out.reshape(n, start[-1], -1, d, w)[:, :, -1]
+        for j in range(first, d):
+            tail[:, start[i] + j - first, j] = tail[:, 0, -1]
+        for rows in (tail[:, :1], tail[:, start[i + 1] :]):
+            np.multiply(rows[:, :, -1:], f[:, None, :-1, None], out=rows[:, :, :-1])
+            rows[:, :, -1] *= f[:, None, -1:]
+            rows %= p
+        w *= d
+    return out
 
 
 def substitution_vector(shape: ProductShape, point, i: int, j: int, p: int) -> np.ndarray:
     """q_1 x ... x e_j (slot i) x ... x q_m as a flat ambient vector."""
-    q = coerce_point(shape, point, p)
+    frame = tangent_frame(shape, point, p)
     if not 0 <= i < shape.num_factors:
         raise ValueError(f"factor index {i} out of range")
     if not 0 <= j <= shape.factor_dims[i]:
         raise ValueError(f"basis index {j} out of range for factor {i}")
-    pre, suf = _prefix_suffix(q, p)
-    d = shape.coord_sizes[i]
-    out = np.zeros(len(pre[i]) * d * len(suf[i + 1]), dtype=np.int64)
-    out.reshape(len(pre[i]), d, len(suf[i + 1]))[:, j, :] = np.outer(pre[i], suf[i + 1]) % p
-    return out
+    return frame[sum(shape.coord_sizes[:i]) + j]
 
 
 def tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
@@ -142,16 +166,7 @@ def tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
     span a space of dimension exactly 1 + sum(n_i), and contracting the
     factor-i block with q_i rebuilds the embedded point, for every i.
     """
-    q = coerce_point(shape, point, p)
-    pre, suf = _prefix_suffix(q, p)
-    rows = []
-    for i, size in enumerate(shape.coord_sizes):
-        ps = np.outer(pre[i], suf[i + 1]) % p
-        for j in range(size):
-            row = np.zeros(len(pre[i]) * size * len(suf[i + 1]), dtype=np.int64)
-            row.reshape(len(pre[i]), size, len(suf[i + 1]))[:, j, :] = ps
-            rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    return _frames(coerce_points(shape, [point], p), p, first=0)[0, 1:]
 
 
 def affine_tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
@@ -163,18 +178,16 @@ def affine_tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
     point minus the others, scaled by the inverse frozen coordinate),
     with the redundancy removed.  Raises if some q_i[0] is 0 mod p.
     """
-    q = coerce_point(shape, point, p)
-    for i, f in enumerate(q):
-        if f[0] % p == 0:
-            raise ValueError(
-                f"factor {i} has first coordinate 0 mod {p}: chart invalid at this point"
-            )
-    pre, suf = _prefix_suffix(q, p)
-    rows = [segre_embed(shape, q, p)]
-    for i, size in enumerate(shape.coord_sizes):
-        ps = np.outer(pre[i], suf[i + 1]) % p
-        for j in range(1, size):
-            row = np.zeros(len(pre[i]) * size * len(suf[i + 1]), dtype=np.int64)
-            row.reshape(len(pre[i]), size, len(suf[i + 1]))[:, j, :] = ps
-            rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    return affine_frames(shape, [point], p)
+
+
+def affine_frames(shape: ProductShape, points, p: int) -> np.ndarray:
+    """Affine tangent frames of N points, stacked: N * (1 + sum n_i) rows."""
+    qs = coerce_points(shape, points, p)
+    for a in range(len(qs[0])):
+        for i, f in enumerate(qs):
+            if f[a, 0] == 0:
+                raise ValueError(
+                    f"factor {i} has first coordinate 0 mod {p}: chart invalid at this point"
+                )
+    return _frames(qs, p, first=1).reshape(-1, shape.ambient_dim + 1)

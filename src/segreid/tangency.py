@@ -16,9 +16,8 @@ the product.  Its local size is what decides weak defectivity:
 * positive corank is evidence only and is never used to certify.
 
 Residuals and Jacobian entries are exact multilinear contractions of
-the hyperplane tensor, never finite differences; a degree-1 dual-number
-evaluation (``first_order_residuals``) provides an independent exact
-check that the assembled Jacobian is the derivative it claims to be.
+the hyperplane tensor, never finite differences, made for all k+1
+contact points of a trial in one batched pass (``contact_coranks``).
 """
 
 from __future__ import annotations
@@ -33,11 +32,12 @@ from .bounds import SPECIAL_CELLS
 from .exactlin import (
     DEFAULT_PRIMES,
     SplitMix64,
+    _matmul_mod,
     check_prime,
     ff_kernel,
     ff_rank,
 )
-from .segre import ProductShape, coerce_point, random_point
+from .segre import ProductShape, coerce_points, random_point
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
@@ -95,24 +95,6 @@ def _hyperplane_tensor(shape: ProductShape, h, p: int) -> np.ndarray:
     return hv.reshape(shape.coord_sizes)
 
 
-def _contract_axis(t: np.ndarray, vec: np.ndarray, axis: int, p: int) -> np.ndarray:
-    # slice-by-slice accumulation keeps every intermediate below p**2
-    tm = np.moveaxis(t, axis, -1)
-    out = np.zeros(tm.shape[:-1], dtype=np.int64)
-    for j in range(tm.shape[-1]):
-        out = (out + tm[..., j] * int(vec[j])) % p
-    return out
-
-
-def _contract_all_but(t: np.ndarray, q, keep: set, p: int) -> np.ndarray:
-    # descending axis order keeps the remaining indices stable
-    for axis in range(len(q) - 1, -1, -1):
-        if axis in keep:
-            continue
-        t = _contract_axis(t, q[axis], axis, p)
-    return t
-
-
 def tangent_hyperplanes(shape: ProductShape, points, p: int) -> np.ndarray:
     """Kernel basis of the Terracini matrix at the given points.
 
@@ -123,22 +105,63 @@ def tangent_hyperplanes(shape: ProductShape, points, p: int) -> np.ndarray:
     return ff_kernel(terracini_matrix(shape, points, p), p)
 
 
-def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
-    """One residual per (factor, basis slot): h against the substitutions.
+def _kron(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise Kronecker product of two (N, .) residue arrays, reduced."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1]) % p
 
-    All sum(n_i + 1) entries vanish exactly when h is tangent to the
-    embedded product at the point.  Contracting the factor-i block with
-    q_i rebuilds h . s(q), so h(q) = 0 is implied m times over.
+
+def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
+    """Off-diagonal Hessians of the form h(q_1, ..., q_m) at N points.
+
+    ``qs`` holds each factor's coordinates at the points, (N, n_i + 1)
+    residues per factor.  Shape (N, R, R) with R = sum(n_i + 1), in
+    blocks by factor: block (a, b), a != b, is h contracted with q_l in
+    every slot l other than a and b, and the diagonal blocks are zero.
+    Each pair takes one exact product mod p: the Kronecker products of
+    those q_l, leftmost slowest as the embedding orders coordinates,
+    against h with axes a and b moved last.  Raises ValueError when
+    (r + 1) / ((n_a + 1)(n_b + 1)) exceeds that product's inner limit.
     """
-    q = coerce_point(shape, point, p)
     t = _hyperplane_tensor(shape, h, p)
-    blocks = [
-        _contract_all_but(t, q, {i}, p) for i in range(shape.num_factors)
-    ]
-    return np.concatenate(blocks)
+    sizes = shape.coord_sizes
+    at = np.cumsum((0,) + sizes)
+    m, n = len(sizes), len(qs[0])
+    after = [np.ones((n, 1), dtype=np.int64)] * m
+    for b in range(m - 2, -1, -1):
+        after[b] = _kron(qs[b + 1], after[b + 1], p)
+    hess = np.zeros((n, at[-1], at[-1]), dtype=np.int64)
+    before = after[-1]
+    for a in range(m - 1):
+        left = before
+        for b in range(a + 1, m):
+            if b > a + 1:
+                left = _kron(left, qs[b - 1], p)
+            z = _kron(left, after[b], p)
+            tab = np.moveaxis(t, (a, b), (-2, -1)).reshape(z.shape[1], -1)
+            blk = _matmul_mod(z, tab, p).reshape(n, sizes[a], sizes[b])
+            hess[:, at[a] : at[a + 1], at[b] : at[b + 1]] = blk
+            hess[:, at[b] : at[b + 1], at[a] : at[a + 1]] = blk.transpose(0, 2, 1)
+        before = _kron(before, qs[a], p)
+    return hess
 
 
-def _check_chart(shape: ProductShape, q, chart, p: int) -> tuple[int, ...]:
+def _residuals(hess: np.ndarray, qs, p: int) -> np.ndarray:
+    """Residuals at N points, (N, R): each factor's Hessian rows against
+    the next factor's columns, contracted with that factor's point (the
+    form is linear in it).  Slice by slice, partial sums stay below p**2.
+    """
+    at = np.cumsum([0] + [q.shape[1] for q in qs])
+    res = np.zeros(hess.shape[:2], dtype=np.int64)
+    for a in range(len(qs)):
+        b = (a + 1) % len(qs)
+        rows = res[:, at[a] : at[a + 1]]
+        for c in range(qs[b].shape[1]):
+            rows[...] = (rows + hess[:, at[a] : at[a + 1], at[b] + c] * qs[b][:, c, None]) % p
+    return res
+
+
+def _chart_columns(shape: ProductShape, qs, chart, p: int) -> np.ndarray:
+    """Hessian columns of the chart's variables: all but one frozen slot per factor."""
     if chart is None:
         chart = (0,) * shape.num_factors
     chart = tuple(int(c) for c in chart)
@@ -147,12 +170,25 @@ def _check_chart(shape: ProductShape, q, chart, p: int) -> tuple[int, ...]:
     for i, (c, n) in enumerate(zip(chart, shape.factor_dims)):
         if not 0 <= c <= n:
             raise ValueError(f"chart slot {c} out of range for factor {i}")
-        if q[i][c] % p == 0:
+        bad = np.flatnonzero(qs[i][:, c] == 0)
+        if bad.size:
             raise ValueError(
-                f"factor {i} has coordinate {c} equal to 0 mod {p}:"
+                f"point {bad[0]}: factor {i} has coordinate {c} equal to 0 mod {p}:"
                 " chart invalid at this point"
             )
-    return chart
+    at = np.cumsum((0,) + shape.coord_sizes)
+    return np.delete(np.arange(at[-1]), at[:-1] + chart)
+
+
+def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
+    """One residual per (factor, basis slot): h against the substitutions.
+
+    All sum(n_i + 1) entries vanish exactly when h is tangent to the
+    embedded product at the point.  Contracting the factor-i block with
+    q_i rebuilds h . s(q), so h(q) = 0 is implied m times over.
+    """
+    qs = coerce_points(shape, [point], p)
+    return _residuals(_hessians(shape, h, qs, p), qs, p)[0]
 
 
 def contact_jacobian(shape: ProductShape, h, point, p: int, chart=None) -> np.ndarray:
@@ -165,72 +201,29 @@ def contact_jacobian(shape: ProductShape, h, point, p: int, chart=None) -> np.nd
     factor-i columns of the factor-i rows are zero.  Shape
     (sum(n_i + 1), sum(n_i)).
     """
-    q = coerce_point(shape, point, p)
-    chart = _check_chart(shape, q, chart, p)
-    t = _hyperplane_tensor(shape, h, p)
-    m = shape.num_factors
-    pair = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            pair[(a, b)] = _contract_all_but(t, q, {a, b}, p)
-    n_rows = sum(shape.coord_sizes)
-    n_cols = shape.dim
-    jac = np.zeros((n_rows, n_cols), dtype=np.int64)
-    row0 = 0
-    for i, rows_i in enumerate(shape.coord_sizes):
-        col0 = 0
-        for l, size_l in enumerate(shape.coord_sizes):
-            free = [c for c in range(size_l) if c != chart[l]]
-            if l != i:
-                block = pair[(i, l)] if i < l else pair[(l, i)].T
-                for cj, c in enumerate(free):
-                    jac[row0 : row0 + rows_i, col0 + cj] = block[:, c]
-            col0 += len(free)
-        row0 += rows_i
-    return jac
+    qs = coerce_points(shape, [point], p)
+    cols = _chart_columns(shape, qs, chart, p)
+    return _hessians(shape, h, qs, p)[0][:, cols]
 
 
-def first_order_residuals(
-    shape: ProductShape, h, point, direction, p: int, chart=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals at q + eps*v with eps^2 = 0, as (value, eps coefficient).
+def contact_coranks(shape: ProductShape, h, points, p: int, chart=None) -> tuple[int, ...]:
+    """Contact coranks at every point, from one batched pass.
 
-    ``direction`` has one entry per chart variable (sum(n_i), frozen
-    slots excluded, ordered factor by factor).  The eps part equals
-    contact_jacobian @ direction exactly; the identity is the
-    independent first-order check of the Jacobian assembly.
+    The Hessians of all points are contracted together; each point's
+    residuals and chart Jacobian are read off its Hessian, and each
+    Jacobian is ranked on its own.  Raises ValueError naming the first
+    point whose residuals do not vanish, or whose chart coordinate is
+    0 mod p.
     """
-    q = coerce_point(shape, point, p)
-    chart = _check_chart(shape, q, chart, p)
-    v = np.asarray(direction, dtype=np.int64) % p
-    if v.shape != (shape.dim,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({shape.dim},)")
-    vecs = []
-    off = 0
-    for i, size in enumerate(shape.coord_sizes):
-        w = np.zeros(size, dtype=np.int64)
-        free = [c for c in range(size) if c != chart[i]]
-        for cj, c in enumerate(free):
-            w[c] = v[off + cj]
-        vecs.append(w)
-        off += len(free)
-    t = _hyperplane_tensor(shape, h, p)
-    m = shape.num_factors
-    val_blocks, eps_blocks = [], []
-    for i in range(m):
-        t0, t1 = t, np.zeros_like(t)
-        for axis in range(m - 1, -1, -1):
-            if axis == i:
-                continue
-            new0 = _contract_axis(t0, q[axis], axis, p)
-            new1 = (
-                _contract_axis(t1, q[axis], axis, p)
-                + _contract_axis(t0, vecs[axis], axis, p)
-            ) % p
-            t0, t1 = new0, new1
-        val_blocks.append(t0)
-        eps_blocks.append(t1)
-    return np.concatenate(val_blocks), np.concatenate(eps_blocks)
+    qs = coerce_points(shape, points, p)
+    hess = _hessians(shape, h, qs, p)
+    bad = np.flatnonzero(_residuals(hess, qs, p).any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"hyperplane is not tangent at point {bad[0]}: residuals do not vanish"
+        )
+    cols = _chart_columns(shape, qs, chart, p)
+    return tuple(shape.dim - ff_rank(hq[:, cols], p) for hq in hess)
 
 
 def contact_corank(shape: ProductShape, h, point, p: int, chart=None) -> int:
@@ -243,13 +236,7 @@ def contact_corank(shape: ProductShape, h, point, p: int, chart=None) -> int:
     columns are combinations of the kept ones because the per-factor
     scaling directions annihilate the Jacobian at contact points.
     """
-    res = tangency_residuals(shape, h, point, p)
-    if res.any():
-        raise ValueError(
-            "hyperplane is not tangent at this point: residuals do not vanish"
-        )
-    jac = contact_jacobian(shape, h, point, p, chart)
-    return shape.dim - ff_rank(jac, p)
+    return contact_coranks(shape, h, [point], p, chart)[0]
 
 
 def order_one_applicable(shape: ProductShape, k: int) -> bool:
@@ -308,9 +295,7 @@ def weak_defectivity_probe(
                 h = (h + c * row) % prime
             if h.any():
                 break
-        trial_coranks = tuple(
-            contact_corank(shape, h, q, prime) for q in pts
-        )
+        trial_coranks = contact_coranks(shape, h, pts, prime)
         if coranks is None or all(c == 0 for c in trial_coranks):
             kernel_dim = len(kernel)
             coeffs = cs

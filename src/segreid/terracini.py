@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .exactlin import DEFAULT_PRIMES, SplitMix64, check_prime, ff_rank
-from .segre import ProductShape, affine_tangent_frame, random_point
+from .segre import ProductShape, affine_frames, random_point
 
 DEFECT_CANDIDATE = "defect candidate"
 DEFECT_EVIDENCE = "defective (computational evidence)"
@@ -41,7 +41,7 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    return np.vstack([affine_tangent_frame(shape, q, p) for q in points])
+    return affine_frames(shape, points, p)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from contact_oracle import first_order_residuals
 from segreid.bounds import NOTE_M6_K9, product_bound_max_k
 from segreid.certificates import certificate_from_verdict, validate_certificate_dict
 from segreid.cli import main, run_sweep
@@ -18,7 +19,6 @@ from segreid.tangency import (
     VerdictStatus,
     contact_corank,
     contact_jacobian,
-    first_order_residuals,
     identifiability_verdict,
     tangency_residuals,
     tangent_hyperplanes,

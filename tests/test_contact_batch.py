@@ -1,0 +1,134 @@
+"""The batched contact pass and frame pass against the per-point oracle.
+
+``contact_oracle`` holds the per-point, per-pair contractions and the
+per-point frame builder that the batched code replaced.  Residuals,
+Jacobians in every chart, coranks and Terracini matrices must match it
+byte for byte, for binary and unequal factor sizes, at a small, a
+medium and the largest admissible prime.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import contact_oracle as oracle
+from segreid import tangency
+from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
+from segreid.segre import ProductShape, affine_tangent_frame, coerce_points, random_point
+from segreid.tangency import contact_coranks, contact_corank, contact_jacobian, tangency_residuals
+from segreid.terracini import terracini_matrix
+
+PRIMES = (3, 65521, 2**31 - 1)
+SHAPES = [(1,) * m for m in range(2, 7)] + [(1, 2, 3), (2, 2, 2), (2, 3, 3)]
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def batch(s, h, pts, p, chart):
+    """Residuals and Jacobians of every point, from one pass."""
+    qs = coerce_points(s, pts, p)
+    hess = tangency._hessians(s, h, qs, p)
+    cols = tangency._chart_columns(s, qs, chart, p)
+    return tangency._residuals(hess, qs, p), hess[:, :, cols]
+
+
+def contact_case(dims, p, seed=0):
+    """Points and a nonzero hyperplane tangent at all of them.
+
+    Takes as many points as leave the Terracini kernel nonempty, at most
+    three; a product of two lines allows only one.
+    """
+    s = ProductShape(dims)
+    rng = SplitMix64(seed)
+    count = min(3, s.ambient_dim // (1 + s.dim))
+    pts = [random_point(s, rng, p) for _ in range(count)]
+    kernel = ff_kernel(oracle.terracini_matrix(s, pts, p), p)
+    h = np.zeros(s.ambient_dim + 1, dtype=np.int64)
+    while not h.any():
+        for row in kernel:
+            h = (h + rng.nonzero_residue(p) * row) % p
+    return s, pts, h
+
+
+def all_charts(s):
+    return list(itertools.product(*(range(d) for d in s.coord_sizes)))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("dims", SHAPES, ids=str)
+def test_batch_matches_oracle(dims, p):
+    s, pts, h = contact_case(dims, p)
+    assert same(terracini_matrix(s, pts, p), oracle.terracini_matrix(s, pts, p))
+    for chart in all_charts(s):
+        res, jac = batch(s, h, pts, p, chart)
+        for q, r_q, j_q in zip(pts, res, jac):
+            assert same(r_q, oracle.tangency_residuals(s, h, q, p))
+            assert same(j_q, oracle.contact_jacobian(s, h, q, p, chart))
+    want = []
+    for q in pts:
+        assert not oracle.tangency_residuals(s, h, q, p).any()
+        want.append(s.dim - ff_rank(oracle.contact_jacobian(s, h, q, p), p))
+    assert contact_coranks(s, h, pts, p) == tuple(want)
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=str)
+def test_one_point_batch_matches_oracle(dims):
+    p = PRIMES[1]
+    s, pts, h = contact_case(dims, p, seed=5)
+    q = pts[0]
+    assert same(affine_tangent_frame(s, q, p), oracle.affine_tangent_frame(s, q, p))
+    assert same(terracini_matrix(s, [q], p), oracle.terracini_matrix(s, [q], p))
+    assert same(tangency_residuals(s, h, q, p), oracle.tangency_residuals(s, h, q, p))
+    assert same(contact_jacobian(s, h, q, p), oracle.contact_jacobian(s, h, q, p))
+    want = s.dim - ff_rank(oracle.contact_jacobian(s, h, q, p), p)
+    assert contact_coranks(s, h, [q], p) == (want,)
+    assert contact_corank(s, h, q, p) == want
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=str)
+def test_largest_entries_match_oracle(dims):
+    # every entry p - 1: each product is (p - 1)**2, the most int64 must hold
+    p = PRIMES[-1]
+    s = ProductShape(dims)
+    h = np.full(s.ambient_dim + 1, p - 1, dtype=np.int64)
+    pts = [tuple(np.full(d, p - 1, dtype=np.int64) for d in s.coord_sizes)] * 2
+    assert same(terracini_matrix(s, pts, p), oracle.terracini_matrix(s, pts, p))
+    res, jac = batch(s, h, pts, p, (0,) * s.num_factors)
+    for r_q, j_q in zip(res, jac):
+        assert same(r_q, oracle.tangency_residuals(s, h, pts[0], p))
+        assert same(j_q, oracle.contact_jacobian(s, h, pts[0], p))
+
+
+def test_frame_errors_match_oracle():
+    s = ProductShape((1, 2, 3))
+    rng = SplitMix64(4)
+    pts = [random_point(s, rng, 7) for _ in range(3)]
+    pts[1] = (pts[1][0], np.array([0, 1, 2]), pts[1][2])
+    for build in (terracini_matrix, oracle.terracini_matrix):
+        with pytest.raises(ValueError, match="factor 1 has first coordinate 0 mod 7"):
+            build(s, pts, 7)
+    for build in (affine_tangent_frame, oracle.affine_tangent_frame):
+        with pytest.raises(ValueError, match="factor 1 has shape"):
+            build(s, (pts[0][0], pts[0][1][:2], pts[0][2]), 7)
+
+
+def test_batch_names_the_stranger_point():
+    s, pts, h = contact_case((1,) * 5, PRIMES[-1])
+    stranger = random_point(s, SplitMix64(1234), PRIMES[-1])
+    batch_pts = pts[:2] + [stranger] + pts[2:]
+    with pytest.raises(ValueError, match="not tangent at point 2:"):
+        contact_coranks(s, h, batch_pts, PRIMES[-1])
+
+
+def test_batch_names_the_point_outside_its_chart():
+    p = PRIMES[-1]
+    s = ProductShape((1,) * 5)
+    rng = SplitMix64(8)
+    pts = [random_point(s, rng, p) for _ in range(4)]
+    pts[2] = (np.array([pts[2][0][0], 0]),) + pts[2][1:]
+    h = ff_kernel(terracini_matrix(s, pts, p), p)[0]
+    with pytest.raises(ValueError, match="point 2: factor 0 has coordinate 1"):
+        contact_coranks(s, h, pts, p, chart=(1, 0, 0, 0, 0))

@@ -1,12 +1,14 @@
 """Certificate digests pinned across versions.
 
-``golden/digests.json`` holds, for five CLI runs at seed 0, the exit
+``golden/digests.json`` holds, for seven CLI runs at seed 0, the exit
 code and the content digest of every certificate printed: two probes
 and two ``reproduce`` cases recorded with the unblocked row-by-row
-elimination, and ``sweep -m 4..6`` recorded before sweep certificates
-came from the shared certificate constructor.  Any change to how ranks,
-kernels, verdicts or certificates are computed must reproduce them
-exactly.
+elimination, ``sweep -m 4..6`` recorded before sweep certificates
+came from the shared certificate constructor, and probes of the
+shapes (1, 2, 3) and (2, 3, 3), the only cases with unequal factor
+sizes, recorded with the per-point contact contractions.  Any change to
+how frames, ranks, kernels, coranks, verdicts or certificates are
+computed must reproduce them exactly.
 """
 
 import json

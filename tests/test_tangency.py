@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contact_oracle import first_order_residuals
 from segreid.bounds import NOTE_M6_K9
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_matvec
 from segreid.segre import ProductShape, random_point
@@ -11,7 +12,6 @@ from segreid.tangency import (
     VerdictStatus,
     contact_corank,
     contact_jacobian,
-    first_order_residuals,
     identifiability_verdict,
     order_one_applicable,
     tangency_residuals,
