@@ -7,19 +7,26 @@ capped below 2**31: ``a * b <= (p - 1)**2 < 2**62`` and
 ``a - b * c > -2**62`` both stay inside int64, so one reduction per
 operation suffices and no intermediate ever overflows.
 
-Elimination is a blocked, right-looking Gaussian elimination over F_p.
-Columns are taken in panels of ``_PANEL``; each panel is eliminated by
-the first-nonzero-pivot loop, and the rest of the matrix receives the
-panel's row operations as one matrix product, done on float64 BLAS in
-16-bit limbs.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is
-eliminated by the pivot loop alone.  An entry below 2**31 splits as ``hi * 2**16 + lo`` with
-``hi < 2**15`` and ``lo < 2**16``, so every limb product is below 2**32
-and a sum of at most ``_MAX_INNER = 2**20`` of them is an integer below
-2**52.  Float64 represents every integer below 2**53 exactly, so each
-limb product is exact whatever order or thread count BLAS sums in, and
-the results do not depend on the BLAS build.  The limbs recombine in
-int64 as ``(hh % p) * (2**32 % p) + (mid % p) * 2**16 + ll``, which
-stays below 2**63, and are reduced once.
+Elimination is a blocked, right-looking Gaussian elimination over F_p,
+the technique of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008).  Columns are taken in panels of ``_PANEL``.  The
+first-nonzero-pivot loop finds a panel's pivots and row swaps on a copy
+of the panel alone, then reduces the panel's pivot rows among
+themselves; the trailing columns receive the same row operations as
+matrix products.  A reduced form is finished by back-substitution over
+the non-pivot columns, bottom panel first.  A matrix of at most
+``_PLAIN_MAX_COLS`` columns is eliminated by the pivot loop alone.
+
+The products run on float64 BLAS.  For ``x @ y`` with inner dimension
+n, only ``x`` is split, into limbs of ``b = 22 - bitlen(n - 1)`` bits,
+so ``n * 2**b <= 2**22``.  A limb product sums n terms below
+``2**b * 2**31``, so every partial sum stays below 2**53, where float64
+is exact: the result does not depend on the summation order, the thread
+count or the BLAS build.  The limb products recombine in int64 by
+Horner's rule from the top limb down, ``acc * 2**b + part < 2**54``,
+reduced once per limb.  An inner dimension up to 64, as in every update
+of the elimination, takes 2 products, up to 2048 takes 3, and
+``_MAX_INNER = 2**20`` takes 16.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and the reduced echelon form of
@@ -133,44 +140,54 @@ _PANEL = 64
 _PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update, which bounds its temporaries.
 _SLAB = 128
-# Largest inner dimension of _matmul_mod: 2**20 limb products below 2**32
-# sum to less than 2**52, inside float64's exact integers.
+# Largest inner dimension of _matmul_mod, whose limbs are then 2 bits
+# wide: a product takes 16 BLAS calls.
 _MAX_INNER = 1 << 20
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``x @ y mod p`` of residue matrices, as four float64 products.
+    """Exact ``x @ y mod p`` of residue matrices, on float64 BLAS.
 
-    Raises ValueError when the inner dimension exceeds ``_MAX_INNER``,
-    beyond which a limb sum could leave float64's exact integers.
+    For inner dimension n, ``x`` is split into limbs of
+    ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole.  Each
+    limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, so it
+    is exact in any summation order.  The limb products recombine by
+    Horner's rule from the top limb down: ``acc < p`` gives
+    ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``, reduced once
+    per limb.
+
+    Raises ValueError when the inner dimension exceeds ``_MAX_INNER``.
     """
-    if x.shape[1] > _MAX_INNER:
+    n = x.shape[1]
+    if n > _MAX_INNER:
         raise ValueError(
-            f"inner dimension {x.shape[1]} above {_MAX_INNER}: limb sums would be inexact"
+            f"inner dimension {n} above {_MAX_INNER}: limbs would be under 2 bits wide"
         )
-    xh = (x >> 16).astype(np.float64)
-    xl = (x & 0xFFFF).astype(np.float64)
-    yh = (y >> 16).astype(np.float64)
-    yl = (y & 0xFFFF).astype(np.float64)
-    hh = (xh @ yh).astype(np.int64)
-    mid = (xh @ yl + xl @ yh).astype(np.int64)
-    ll = (xl @ yl).astype(np.int64)
-    return ((hh % p) * ((1 << 32) % p) + (mid % p) * (1 << 16) + ll) % p
+    b = 22 - (n - 1).bit_length()
+    yf = y.astype(np.float64)
+    bits = (p - 1).bit_length()
+    acc = 0
+    for shift in range((bits - 1) // b * b, -1, -b):
+        limb = ((x >> shift) & ((1 << b) - 1)).astype(np.float64)
+        acc = (acc * (1 << b) + (limb @ yf).astype(np.int64)) % p
+    return acc
 
 
 def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
     """Eliminate columns ``[0, width)`` of ``a`` in place; return their pivots.
 
     Pivot choice is the first nonzero entry of the column.  Each row
-    update is one vectorized multiply-subtract with a single reduction,
-    valid because entries stay below p < 2**31.  Row operations act on
-    whole rows.  With a ``swaps`` list, each row swap is appended to it
-    and the j-th pivot row gets a 1 in column ``width + j``; then, if
-    those columns start at zero, they end holding each row as a
-    combination of the pivot rows as they were on entry (plus the row's
-    own entry value, for a row that is not a pivot).
+    update is one vectorized multiply-subtract with a single reduction
+    per residue product, valid because entries stay below p < 2**31.
+    Row operations act on the rows from the pivot column on.  Row swaps
+    are appended to ``swaps`` when it is a list.
+
+    Columns past ``width``, if ``a`` has any, start at zero and track the
+    row operations: the j-th pivot row gets a 1 in column ``width + j``.
+    When every row becomes a pivot without a swap, row i ends holding
+    there the coefficients of row i over the rows as they were on entry.
     """
-    rows = a.shape[0]
+    rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(width):
@@ -186,7 +203,7 @@ def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
                 swaps.append((r, piv))
         # columns past ``end`` are zero in the pivot row
         end = None
-        if swaps is not None:
+        if cols > width:
             a[r, width + r] = 1
             end = width + r + 1
         inv = pow(int(a[r, c]), -1, p)
@@ -208,53 +225,78 @@ def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """Pivot columns of the residue matrix ``a``, eliminated in place.
 
-    With ``reduced``, ``a`` ends in reduced row echelon form; otherwise
-    only the pivots are meaningful.  Each panel of columns is eliminated
-    by ``_pivot_loop`` on a copy that also records the panel's row
-    operations as coefficients over its k pivot rows.  Every other row
-    then receives those operations in one product ``coef @ pivot rows``,
-    slab by slab: the rows below when ``not reduced``, all rows (those
-    above eliminated too, Gauss-Jordan style) when ``reduced``.
+    ``a`` ends in row echelon form, and with ``reduced`` in reduced row
+    echelon form.  The forward pass takes each panel of columns
+    ``c0:c1`` against the rows ``r0:`` that hold no pivot yet:
+
+    1. ``_pivot_loop`` finds the panel's k pivots and its row swaps on a
+       copy of ``a[r0:, c0:c1]``, without reduction;
+    2. the swaps are applied to ``a[r0:, c0:]``;
+    3. ``_pivot_loop`` reduces the panel of the k pivot rows alone, which
+       needs no swap, tracking ``coef`` with
+       ``new pivot rows = coef @ pivot rows``;
+    4. slab by slab, the trailing columns of the pivot rows become
+       ``coef @ pivot rows``, and each row below subtracts its entries
+       in the k pivot columns, read before the pass, times the new
+       pivot rows;
+    5. the panel gets the reduced pivot rows, and zeros below them.
+
+    Rows above ``r0`` are never touched.  With ``reduced``, a
+    back-substitution then clears each panel's pivot columns in the rows
+    above it, bottom panel first, so that the rows it subtracts are
+    already clear of every later pivot column.  It computes the non-pivot
+    columns only: the pivot columns of the first rank rows are the
+    identity.
     """
     rows, cols = a.shape
     if cols <= _PLAIN_MAX_COLS:
         return _pivot_loop(a, p, reduced, cols)
     pivots: list[int] = []
+    # (first row, pivot columns) of every panel with a pivot
+    panels: list[tuple[int, list[int]]] = []
     r0 = 0
     for c0 in range(0, cols, _PANEL):
         if r0 == rows:
             break
         c1 = min(c0 + _PANEL, cols)
         w = c1 - c0
-        panel = np.zeros((rows - r0, 2 * w), dtype=np.int64)
-        panel[:, :w] = a[r0:, c0:c1]
         swaps: list[tuple[int, int]] = []
-        local = _pivot_loop(panel, p, reduced, w, swaps)
+        local = _pivot_loop(a[r0:, c0:c1].copy(), p, False, w, swaps)
         k = len(local)
         if k == 0:
             continue
         for i, j in swaps:
             a[[r0 + i, r0 + j], c0:] = a[[r0 + j, r0 + i], c0:]
-        # new pivot rows = coef[:k] @ old pivot rows; other rows r0.. =
-        # old row + coef[k:] @ old pivot rows
-        coef = panel[:, w : w + k]
-        if reduced:
-            # rows above lose their pivot-column entries times the new
-            # pivot rows
-            above = _matmul_mod(a[:r0, [c0 + c for c in local]], coef[:k], p)
-            lo, start = 0, c0
-            coef = np.vstack([(-above) % p, coef])
-            coef[r0 + np.arange(k), np.arange(k)] -= 1
-            coef %= p
-        else:
-            lo, start = r0 + k, c1
-            coef = coef[k:]
-        top = a[r0 : r0 + k]
-        for s0 in range(start, cols, _SLAB):
+        r1 = r0 + k
+        piv = [c0 + c for c in local]
+        top = np.zeros((k, w + k), dtype=np.int64)
+        top[:, :w] = a[r0:r1, c0:c1]
+        _pivot_loop(top, p, True, w)
+        coef = top[:, w:]
+        below = a[r1:, piv]
+        for s0 in range(c1, cols, _SLAB):
             s = slice(s0, min(s0 + _SLAB, cols))
-            a[lo:, s] = (a[lo:, s] + _matmul_mod(coef, top[:, s], p)) % p
-        pivots.extend(c0 + c for c in local)
-        r0 += k
+            a[r0:r1, s] = _matmul_mod(coef, a[r0:r1, s], p)
+            a[r1:, s] = (a[r1:, s] - _matmul_mod(below, a[r0:r1, s], p)) % p
+        a[r0:r1, c0:c1] = top[:, :w]
+        a[r1:, c0:c1] = 0
+        panels.append((r0, piv))
+        pivots.extend(piv)
+        r0 = r1
+    if reduced and pivots:
+        is_free = np.ones(cols, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        f = a[:r0, free]
+        for ra, piv in reversed(panels):
+            rb = ra + len(piv)
+            m = a[:ra, piv]
+            for s0 in range(np.searchsorted(free, piv[0]), free.size, _SLAB):
+                s = slice(s0, s0 + _SLAB)
+                f[:ra, s] = (f[:ra, s] - _matmul_mod(m, f[ra:rb, s], p)) % p
+        a[:r0, free] = f
+        a[:r0, pivots] = 0
+        a[np.arange(r0), pivots] = 1
     return pivots
 
 
