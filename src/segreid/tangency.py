@@ -290,7 +290,9 @@ def weak_defectivity_probe(
             continue
         while True:
             cs = tuple(rng.residue(prime) for _ in range(len(kernel)))
-            h = _matmul_mod(np.array([cs], dtype=np.int64), kernel, prime)[0]
+            h = np.zeros(r + 1, dtype=np.int64)
+            for c, row in zip(cs, kernel):
+                h = (h + c * row) % prime
             if h.any():
                 break
         trial_coranks = contact_coranks(shape, h, pts, prime)
