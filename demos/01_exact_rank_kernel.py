@@ -3,9 +3,9 @@
 Every rank and kernel in this package is computed over F_p with p just
 below 2**31, using int64 arrays and one reduction per operation.  Large
 eliminations run their block products on float64 BLAS, but only on
-16-bit pieces whose sums stay below 2**53, where float64 is exact, so
-there are no tolerances: a rank is a theorem about that prime and that
-matrix.
+pieces of one factor narrow enough that their sums stay below 2**53,
+where float64 is exact, so there are no tolerances: a rank is a theorem
+about that prime and that matrix.
 """
 
 import numpy as np

@@ -7,26 +7,16 @@ capped below 2**31: ``a * b <= (p - 1)**2 < 2**62`` and
 ``a - b * c > -2**62`` both stay inside int64, so one reduction per
 operation suffices and no intermediate ever overflows.
 
-Elimination is a blocked, right-looking Gaussian elimination over F_p,
-the technique of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-2008).  Columns are taken in panels of ``_PANEL``.  The
-first-nonzero-pivot loop finds a panel's pivots and row swaps on a copy
-of the panel alone, then reduces the panel's pivot rows among
-themselves; the trailing columns receive the same row operations as
-matrix products.  A reduced form is finished by back-substitution over
-the non-pivot columns, bottom panel first.  A matrix of at most
-``_PLAIN_MAX_COLS`` columns is eliminated by the pivot loop alone.
-
-The products run on float64 BLAS.  For ``x @ y`` with inner dimension
-n, only ``x`` is split, into limbs of ``b = 22 - bitlen(n - 1)`` bits,
-so ``n * 2**b <= 2**22``.  A limb product sums n terms below
-``2**b * 2**31``, so every partial sum stays below 2**53, where float64
-is exact: the result does not depend on the summation order, the thread
-count or the BLAS build.  The limb products recombine in int64 by
-Horner's rule from the top limb down, ``acc * 2**b + part < 2**54``,
-reduced once per limb.  An inner dimension up to 64, as in every update
-of the elimination, takes 2 products, up to 2048 takes 3, and
-``_MAX_INNER = 2**20`` takes 16.
+Elimination is a blocked, right-looking Gaussian elimination over F_p
+(FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  The
+first-nonzero-pivot loop finds each panel's pivots on the panel alone;
+the trailing columns receive its row operations as matrix products, and
+a reduced form is finished by back-substitution over the non-pivot
+columns.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is eliminated
+by the pivot loop alone.  The products run on float64 BLAS, one per
+limb of the left factor (``_matmul_mod``).  Every limb sum stays below
+2**53, where float64 is exact, so the results do not depend on the
+summation order, the thread count or the BLAS build.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and the reduced echelon form of
@@ -140,23 +130,21 @@ _PANEL = 64
 _PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update, which bounds its temporaries.
 _SLAB = 128
-# Largest inner dimension of _matmul_mod, whose limbs are then 2 bits
-# wide: a product takes 16 BLAS calls.
+# Largest inner dimension of _matmul_mod: its limbs are then 2 bits wide,
+# 16 BLAS products.
 _MAX_INNER = 1 << 20
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``x @ y mod p`` of residue matrices, on float64 BLAS.
+    """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
     For inner dimension n, ``x`` is split into limbs of
-    ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole.  Each
-    limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, so it
-    is exact in any summation order.  The limb products recombine by
-    Horner's rule from the top limb down: ``acc < p`` gives
+    ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole: each
+    limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, exact
+    in any order.  Horner's rule from the top limb down recombines them,
     ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``, reduced once
-    per limb.
-
-    Raises ValueError when the inner dimension exceeds ``_MAX_INNER``.
+    per limb.  Inner dimensions up to 64 take 2 limbs, up to 2048 take 3.
+    Raises ValueError above ``_MAX_INNER``.
     """
     n = x.shape[1]
     if n > _MAX_INNER:
@@ -179,13 +167,11 @@ def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
     Pivot choice is the first nonzero entry of the column.  Each row
     update is one vectorized multiply-subtract with a single reduction
     per residue product, valid because entries stay below p < 2**31.
-    Row operations act on the rows from the pivot column on.  Row swaps
-    are appended to ``swaps`` when it is a list.
-
-    Columns past ``width``, if ``a`` has any, start at zero and track the
-    row operations: the j-th pivot row gets a 1 in column ``width + j``.
-    When every row becomes a pivot without a swap, row i ends holding
-    there the coefficients of row i over the rows as they were on entry.
+    Row swaps are appended to ``swaps`` when it is a list.  Columns past
+    ``width``, if any, start at zero and track the row operations: the
+    j-th pivot row gets a 1 in column ``width + j``, so when every row
+    becomes a pivot without a swap, they end holding each row over the
+    rows as they were on entry.
     """
     rows, cols = a.shape
     pivots: list[int] = []
@@ -225,28 +211,18 @@ def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """Pivot columns of the residue matrix ``a``, eliminated in place.
 
-    ``a`` ends in row echelon form, and with ``reduced`` in reduced row
-    echelon form.  The forward pass takes each panel of columns
-    ``c0:c1`` against the rows ``r0:`` that hold no pivot yet:
-
-    1. ``_pivot_loop`` finds the panel's k pivots and its row swaps on a
-       copy of ``a[r0:, c0:c1]``, without reduction;
-    2. the swaps are applied to ``a[r0:, c0:]``;
-    3. ``_pivot_loop`` reduces the panel of the k pivot rows alone, which
-       needs no swap, tracking ``coef`` with
-       ``new pivot rows = coef @ pivot rows``;
-    4. slab by slab, the trailing columns of the pivot rows become
-       ``coef @ pivot rows``, and each row below subtracts its entries
-       in the k pivot columns, read before the pass, times the new
-       pivot rows;
-    5. the panel gets the reduced pivot rows, and zeros below them.
-
-    Rows above ``r0`` are never touched.  With ``reduced``, a
-    back-substitution then clears each panel's pivot columns in the rows
-    above it, bottom panel first, so that the rows it subtracts are
-    already clear of every later pivot column.  It computes the non-pivot
-    columns only: the pivot columns of the first rank rows are the
-    identity.
+    ``a`` ends in row echelon form, reduced with ``reduced``.  Each panel
+    ``c0:c1`` is taken against the rows ``r0:`` holding no pivot yet.
+    The pivot loop finds its k pivots and row swaps on a copy of
+    ``a[r0:, c0:c1]``; the swaps are applied to ``a[r0:, c0:]``; the
+    tracked loop reduces the k pivot rows' panel alone, which needs no
+    swap, giving ``new pivot rows = coef @ pivot rows``.  Slab by slab,
+    the pivot rows' trailing columns become ``coef @ pivot rows``, and
+    each row below subtracts its pivot-column entries, read first, times
+    the new pivot rows.  Rows above ``r0`` are never touched.  A reduced
+    form is finished by back-substitution over the non-pivot columns,
+    bottom panel first, so that the rows it subtracts are clear of every
+    later pivot column; the pivot columns then hold the identity.
     """
     rows, cols = a.shape
     if cols <= _PLAIN_MAX_COLS:

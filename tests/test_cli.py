@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from segreid.exactlin import DEFAULT_PRIMES
 from segreid.segre import ProductShape
 
 P1 = str(DEFAULT_PRIMES[0])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -267,10 +270,13 @@ def test_bad_arguments_exit_2(argv, capsys):
 
 
 def test_console_script_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "segreid", "bounds", "-m", "6"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,8,4,3,5,")

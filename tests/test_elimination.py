@@ -7,6 +7,8 @@ exactly the basis the oracle's form gives.  Matrices wider than
 twice, once routed by width and once with the blocked path forced.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from sympy.polys.domains import GF
@@ -14,7 +16,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from echelon_oracle import _echelon, kernel_basis
 from segreid import exactlin
-from segreid.exactlin import ff_kernel, ff_rank
+from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
+from segreid.segre import ProductShape, random_point
+from segreid.terracini import terracini_matrix
 
 NB = exactlin._PANEL
 CROSSOVER = exactlin._PLAIN_MAX_COLS
@@ -113,6 +117,17 @@ def test_rank_matches_sympy_across_panels(p):
     assert ff_rank(m.T, p) == ff_rank(m, p) == sympy_rank(m, p)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", [10, 22])
+def test_binary_terracini_matrices_match_oracle(k, p):
+    # m=8: 256 columns, four panels; 99 and 207 rows
+    shape = ProductShape((1,) * 8)
+    rng = SplitMix64(k)
+    m = terracini_matrix(shape, [random_point(shape, rng, p) for _ in range(k + 1)], p)
+    assert m.shape == ((k + 1) * 9, 4 * NB)
+    assert_matches_oracle(m, p)
+
+
 def test_entries_near_modulus_across_panels():
     p = 2**31 - 1
     m = np.full((3 * NB, 3 * NB), p - 1, dtype=np.int64)
@@ -134,3 +149,19 @@ def test_limb_product_rejects_inner_dimension_above_limit():
     n = exactlin._MAX_INNER + 1
     with pytest.raises(ValueError, match="inner dimension"):
         exactlin._matmul_mod(np.zeros((1, n), dtype=np.int64), np.zeros((n, 1), dtype=np.int64), 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 2048, 2049, 1 << 20])
+def test_limb_product_exact_at_limb_count_boundaries(n):
+    # n = 64, 2048 and 2**20 are the largest inner dimensions taking 2, 3
+    # and 16 limbs; entries near 2**31 fill every limb, and odd entries
+    # make odd products, so a sum past 2**53 would round
+    p = 2**31 - 1
+    rng = np.random.default_rng([19, n])
+    x = np.full((2, n), p - 1, dtype=np.int64)
+    x[1] = rng.integers(p - 2**16, p, n)
+    y = np.full((n, 2), p - 1, dtype=np.int64)
+    y[:, 1] = rng.integers(p - 2**16, p, n)
+    got = exactlin._matmul_mod(x, y, p)
+    want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
+    assert got.tolist() == want
