@@ -259,7 +259,7 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         panels.append((r0, piv))
         pivots.extend(piv)
         r0 = r1
-    if reduced and pivots:
+    if reduced:
         is_free = np.ones(cols, dtype=bool)
         is_free[pivots] = False
         free = np.flatnonzero(is_free)
