@@ -10,13 +10,18 @@ about that prime and that matrix.
 
 import numpy as np
 
-from segreid import DEFAULT_PRIMES, SplitMix64, check_prime, ff_kernel, ff_matmul, ff_matvec, ff_rank
+from segreid import DEFAULT_PRIMES, SplitMix64, check_prime, ff_kernel, ff_rank
 
 p = DEFAULT_PRIMES[0]
 print(f"working prime: {p} (check_prime -> {check_prime(p)})")
 
 rng = SplitMix64(2)
 print(f"splitmix64 stream head: {[rng.next_u64() for _ in range(3)]}")
+
+def exact_product(x, y, q):
+    # Python integers cannot overflow, so this product needs no care at all
+    return np.asarray(x, dtype=object) @ np.asarray(y, dtype=object) % q
+
 
 def plant(q, seed):
     # [I; R] @ [I | C] has rank exactly 4: at most by the factorization,
@@ -29,7 +34,7 @@ def plant(q, seed):
     c = np.zeros((rank, 9), dtype=np.int64)
     c[:, :rank] = np.eye(rank, dtype=np.int64)
     c[:, rank:] = [[rnd.residue(q) for _ in range(5)] for _ in range(rank)]
-    return ff_matmul(b, c, q)
+    return exact_product(b, c, q).astype(np.int64)
 
 
 m = plant(p, seed=7)
@@ -37,7 +42,7 @@ print(f"planted 7x9 matrix: rank {ff_rank(m, p)} (built to be 4)")
 
 ker = ff_kernel(m, p)
 print(f"kernel basis: {ker.shape[0]} vectors of length 9 (9 - 4 = 5)")
-residuals = [int(ff_matvec(m, v, p).max(initial=0)) for v in ker]
+residuals = [int(exact_product(m, v, p).max(initial=0)) for v in ker]
 print(f"max entry of M v mod p over the basis: {max(residuals)} (exactly zero)")
 
 print("same construction at every default prime:", end=" ")

@@ -38,30 +38,22 @@ from .exactlin import (
     SplitMix64,
     check_prime,
     ff_kernel,
-    ff_matmul,
-    ff_matvec,
     ff_rank,
     random_unit_vector,
 )
 from .segre import (
     COORDINATE_ORDER,
     ProductShape,
-    affine_tangent_frame,
     coerce_point,
     random_point,
     segre_embed,
-    substitution_vector,
-    tangent_frame,
 )
 from .tangency import (
     Verdict,
     VerdictStatus,
-    contact_corank,
     contact_coranks,
-    contact_jacobian,
     identifiability_verdict,
     order_one_applicable,
-    tangency_residuals,
     tangent_hyperplanes,
     weak_defectivity_probe,
 )
@@ -93,21 +85,16 @@ __all__ = [
     "SplitMix64",
     "Verdict",
     "VerdictStatus",
-    "affine_tangent_frame",
     "ceil_log2",
     "certificate_from_dict",
     "certificate_from_verdict",
     "check_prime",
     "classify",
     "coerce_point",
-    "contact_corank",
     "contact_coranks",
-    "contact_jacobian",
     "defect_status",
     "expected_dim",
     "ff_kernel",
-    "ff_matmul",
-    "ff_matvec",
     "ff_rank",
     "identifiability_verdict",
     "k_max",
@@ -123,9 +110,6 @@ __all__ = [
     "segre_embed",
     "sqrt_bound_holds",
     "sqrt_bound_max_k_plus_1",
-    "substitution_vector",
-    "tangency_residuals",
-    "tangent_frame",
     "tangent_hyperplanes",
     "terracini_matrix",
     "validate_certificate_dict",

@@ -208,6 +208,16 @@ def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=No
     return certs, errors
 
 
+_BOUNDS_COLUMNS = (
+    "m",
+    "k_max",
+    "product_bound_max_k",
+    "log_ceiling_bound_max_k",
+    "sqrt_bound_max_k_plus_1",
+    "note",
+)
+
+
 def _bounds_row(m):
     """The bounds row of m, read off its regime reports.
 
@@ -217,24 +227,9 @@ def _bounds_row(m):
     ks = [1] + sorted(k for mm, k in SPECIAL_CELLS if mm == m)
     reports = [regime_report(m, k) for k in ks]
     notes = dict.fromkeys(note for rep in reports for note in rep.notes)
-    rep = reports[0]
-    return {
-        "m": m,
-        "k_max": rep.k_max,
-        "product_bound_max_k": rep.product_bound_max_k,
-        "log_ceiling_bound_max_k": rep.log_ceiling_bound_max_k,
-        "sqrt_bound_max_k_plus_1": rep.sqrt_bound_max_k_plus_1,
-        "note": "; ".join(notes),
-    }
-
-_BOUNDS_COLUMNS = (
-    "m",
-    "k_max",
-    "product_bound_max_k",
-    "log_ceiling_bound_max_k",
-    "sqrt_bound_max_k_plus_1",
-    "note",
-)
+    row = {c: getattr(reports[0], c) for c in _BOUNDS_COLUMNS[:-1]}
+    row["note"] = "; ".join(notes)
+    return row
 
 
 def cmd_bounds(args):
@@ -384,15 +379,7 @@ def _reproduce_bounds_table(store):
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     want = (92, 50, 15, 22)
-    got = tuple(
-        rows[-1][c]
-        for c in (
-            "k_max",
-            "product_bound_max_k",
-            "log_ceiling_bound_max_k",
-            "sqrt_bound_max_k_plus_1",
-        )
-    )
+    got = tuple(rows[-1][c] for c in _BOUNDS_COLUMNS[1:5])
     return got == want, {"m10": list(got)}
 
 
@@ -410,6 +397,21 @@ def cmd_reproduce(args):
     line.update(detail)
     print(json.dumps(line, sort_keys=True))
     return 0 if ok else 1
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("need >= %d, got %d" % (low, value))
+        return value
+
+    return parse
 
 
 def _parse_m_range(text):
@@ -462,15 +464,16 @@ def build_parser():
 
     pr = sub.add_parser("probe", help="probe one (shape, k) cell")
     grp = pr.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--binary", type=int, metavar="M",
+    grp.add_argument("--binary", type=_int_at_least(2), metavar="M",
                      help="product of M projective lines")
     grp.add_argument("--shape", type=_parse_shape, metavar="N1,N2,...",
                      help="factor dimensions, e.g. 1,1,2")
-    pr.add_argument("-k", type=int, required=True, help="number of secant points is k+1")
-    pr.add_argument("--trials", type=int, default=3)
+    pr.add_argument("-k", type=_int_at_least(1), required=True,
+                    help="number of secant points is k+1")
+    pr.add_argument("--trials", type=_int_at_least(1), default=3)
     pr.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
                     metavar="P1,P2,...")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_int_at_least(0), default=0)
     pr.add_argument("--store", default=None,
                     help="directory for cert-<digest>.json files "
                     "(default: $%s if set)" % ENV_STORE)
@@ -479,12 +482,12 @@ def build_parser():
     sw = sub.add_parser("sweep", help="tabulate verdicts for binary products")
     sw.add_argument("-m", "--factors", required=True, type=_parse_m_range,
                     metavar="A..B")
-    sw.add_argument("--trials", type=int, default=3)
+    sw.add_argument("--trials", type=_int_at_least(1), default=3)
     sw.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
                     metavar="P1,P2,...")
-    sw.add_argument("--seed", type=int, default=0, help="master seed; per-cell "
+    sw.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed; per-cell "
                     "seeds are derived by hashing (shape, k, prime) with it")
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=_int_at_least(1), default=1)
     sw.add_argument("--max-k", type=int, default=None)
     sw.add_argument("--csv", default=None, metavar="PATH",
                     help="also write a flat summary table")
@@ -501,18 +504,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "probe":
-        if args.binary is not None and args.binary < 2:
-            parser.error("--binary needs M >= 2")
-        if args.k < 1:
-            parser.error("-k must be >= 1")
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-    if args.command == "sweep":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
     if hasattr(args, "store"):
         store = _resolve_store(args.store)
         if store is not None and os.path.exists(store) and not os.path.isdir(store):

@@ -300,20 +300,3 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     basis[:, pivots] = (-a[: len(pivots), free].T) % p
     return basis
 
-
-def ff_matvec(mat, vec, p: int) -> np.ndarray:
-    """Exact matrix-vector product mod p."""
-    a = _as_matrix(mat, p)
-    v = np.asarray(vec, dtype=np.int64) % p
-    if a.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {v.shape}")
-    return _matmul_mod(a, v[:, None], p)[:, 0]
-
-
-def ff_matmul(a, b, p: int) -> np.ndarray:
-    """Exact matrix product mod p."""
-    a = _as_matrix(a, p)
-    b = _as_matrix(b, p)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return _matmul_mod(a, b, p)

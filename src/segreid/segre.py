@@ -8,15 +8,12 @@ j_1 * S_1 + ... + j_m * S_m with strides S_i = prod_{l > i} (n_l + 1).
 This coordinate order is fixed once and recorded in every certificate
 so that hyperplane vectors from different runs are comparable.
 
-Tangent data comes in two flavors.  ``tangent_frame`` returns every
-single-slot substitution q_1 x ... x e_j (slot i) x ... x q_m, one row
-per (factor, basis slot): sum(n_i + 1) rows spanning a space of
-dimension 1 + sum(n_i), with the embedded point inside the span
-(contract the factor-i block with q_i to rebuild it).  The redundancy
-keeps the tangency equations uniform.  ``affine_tangent_frame`` removes
-it: the embedded point plus the partial derivatives of the affine
-parametrization that freezes coordinate 0 of every factor, which is the
-economical generating set the Terracini matrices stack.
+Tangent data is the affine tangent frame (``_frames``): the embedded
+point plus the partial derivatives of the affine parametrization that
+freezes coordinate 0 of every factor, valid where those coordinates
+are nonzero.  The partials are the single-slot substitutions
+q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
+1 + sum(n_i) rows; the Terracini matrices stack them.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from .exactlin import SplitMix64, random_unit_vector
 
 # One name for the Kronecker coordinate convention, embedded in certificates.
 COORDINATE_ORDER = "lex-leftmost-slowest"
-
-PointTuple = tuple  # tuple of per-factor coordinate vectors
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,8 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
     return out
 
 
-def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
-    """Per point: the embedded point, then each substitution with j >= first.
+def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """Per point: the embedded point, then each substitution with j >= 1.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1).  One pass over
     the factors, last to first, in place in the returned (N, rows, r + 1)
@@ -131,7 +126,7 @@ def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
     """
     n = len(qs[0])
     sizes = [f.shape[1] for f in qs]
-    start = np.cumsum([1] + [d - first for d in sizes])
+    start = np.cumsum([1] + [d - 1 for d in sizes])
     out = np.zeros((n, start[-1], int(np.prod(sizes))), dtype=np.int64)
     out[:, 0, -1] = 1
     w = 1
@@ -139,55 +134,11 @@ def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
         f, d = qs[i], sizes[i]
         # (N, rows, n_i + 1, w): the last (n_i + 1) * w columns, in blocks
         tail = out.reshape(n, start[-1], -1, d, w)[:, :, -1]
-        for j in range(first, d):
-            tail[:, start[i] + j - first, j] = tail[:, 0, -1]
+        for j in range(1, d):
+            tail[:, start[i] + j - 1, j] = tail[:, 0, -1]
         for rows in (tail[:, :1], tail[:, start[i + 1] :]):
             np.multiply(rows[:, :, -1:], f[:, None, :-1, None], out=rows[:, :, :-1])
             rows[:, :, -1] *= f[:, None, -1:]
             rows %= p
         w *= d
     return out
-
-
-def substitution_vector(shape: ProductShape, point, i: int, j: int, p: int) -> np.ndarray:
-    """q_1 x ... x e_j (slot i) x ... x q_m as a flat ambient vector."""
-    frame = tangent_frame(shape, point, p)
-    if not 0 <= i < shape.num_factors:
-        raise ValueError(f"factor index {i} out of range")
-    if not 0 <= j <= shape.factor_dims[i]:
-        raise ValueError(f"basis index {j} out of range for factor {i}")
-    return frame[sum(shape.coord_sizes[:i]) + j]
-
-
-def tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
-    """All single-slot substitutions, one row per (factor, basis slot).
-
-    sum(n_i + 1) rows.  Whenever every factor vector is nonzero the rows
-    span a space of dimension exactly 1 + sum(n_i), and contracting the
-    factor-i block with q_i rebuilds the embedded point, for every i.
-    """
-    return _frames(coerce_points(shape, [point], p), p, first=0)[0, 1:]
-
-
-def affine_tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
-    """Embedded point plus chart partials: 1 + sum(n_i) rows.
-
-    The chart freezes coordinate 0 of every factor, so the partials are
-    the substitutions with j >= 1.  Same span as ``tangent_frame`` when
-    every frozen coordinate is nonzero (the slot-0 substitution is the
-    point minus the others, scaled by the inverse frozen coordinate),
-    with the redundancy removed.  Raises if some q_i[0] is 0 mod p.
-    """
-    return affine_frames(shape, [point], p)
-
-
-def affine_frames(shape: ProductShape, points, p: int) -> np.ndarray:
-    """Affine tangent frames of N points, stacked: N * (1 + sum n_i) rows."""
-    qs = coerce_points(shape, points, p)
-    for a in range(len(qs[0])):
-        for i, f in enumerate(qs):
-            if f[a, 0] == 0:
-                raise ValueError(
-                    f"factor {i} has first coordinate 0 mod {p}: chart invalid at this point"
-                )
-    return _frames(qs, p, first=1).reshape(-1, shape.ambient_dim + 1)

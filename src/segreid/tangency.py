@@ -29,18 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import SPECIAL_CELLS
-from .exactlin import (
-    DEFAULT_PRIMES,
-    SplitMix64,
-    _matmul_mod,
-    check_prime,
-    ff_kernel,
-    ff_rank,
-)
-from .segre import ProductShape, coerce_points, random_point
+from .exactlin import DEFAULT_PRIMES, _matmul_mod, ff_kernel, ff_rank
+from .segre import ProductShape, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
+    _trials,
     defect_status,
     expected_dim,
     terracini_matrix,
@@ -180,6 +174,7 @@ def _chart_columns(shape: ProductShape, qs, chart, p: int) -> np.ndarray:
     return np.delete(np.arange(at[-1]), at[:-1] + chart)
 
 
+# Not exported; kept because bench/spans.py wraps these three by name.
 def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
     """One residual per (factor, basis slot): h against the substitutions.
 
@@ -263,26 +258,18 @@ def weak_defectivity_probe(
     a rank shortfall the coranks stay None: the shortfall itself is the
     finding, and it propagates as a defect candidate.
     """
-    check_prime(prime)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not order_one_applicable(shape, k):
         raise ValueError(
             "k*dim + dim + k must stay below the ambient dimension for a"
             " weak-defectivity probe"
         )
-    rng = SplitMix64(seed)
     exp = expected_dim(shape, k)
     r = shape.ambient_dim
     best = -1
     kernel_dim = None
     coeffs = None
     coranks = None
-    for _ in range(trials):
-        pts = [random_point(shape, rng, prime) for _ in range(k + 1)]
-        mat = terracini_matrix(shape, pts, prime)
+    for rng, pts, mat in _trials(shape, k, trials, prime, seed):
         kernel = ff_kernel(mat, prime)
         rank = mat.shape[1] - len(kernel)
         best = max(best, rank - 1)

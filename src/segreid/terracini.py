@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .exactlin import DEFAULT_PRIMES, SplitMix64, check_prime, ff_rank
-from .segre import ProductShape, affine_frames, random_point
+from .segre import ProductShape, _frames, coerce_points, random_point
 
 DEFECT_CANDIDATE = "defect candidate"
 DEFECT_EVIDENCE = "defective (computational evidence)"
@@ -41,7 +41,32 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    return affine_frames(shape, points, p)
+    qs = coerce_points(shape, points, p)
+    for a in range(len(qs[0])):
+        for i, f in enumerate(qs):
+            if f[a, 0] == 0:
+                raise ValueError(
+                    f"factor {i} has first coordinate 0 mod {p}: chart invalid at this point"
+                )
+    return _frames(qs, p).reshape(-1, shape.ambient_dim + 1)
+
+
+def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
+    """Yield (rng, points, Terracini matrix) once per trial of a probe.
+
+    The arguments are checked when the first trial is drawn.  The stream
+    is yielded so that a probe's own draws in a trial come before the
+    next trial's points, the order every recorded seed replays.
+    """
+    check_prime(prime)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = SplitMix64(seed)
+    for _ in range(trials):
+        pts = [random_point(shape, rng, prime) for _ in range(k + 1)]
+        yield rng, pts, terracini_matrix(shape, pts, prime)
 
 
 @dataclass(frozen=True)
@@ -94,18 +119,10 @@ def secant_dim_probe(
     min(rows, cols) of the Terracini matrix; a single attaining trial
     therefore settles the generic value and stops the loop early.
     """
-    check_prime(prime)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = SplitMix64(seed)
     exp = expected_dim(shape, k)
     best = -1
-    for _ in range(trials):
-        pts = [random_point(shape, rng, prime) for _ in range(k + 1)]
-        rank = ff_rank(terracini_matrix(shape, pts, prime), prime)
-        best = max(best, rank - 1)
+    for _, _, mat in _trials(shape, k, trials, prime, seed):
+        best = max(best, ff_rank(mat, prime) - 1)
         if best == exp:
             break
     return SecantProbeResult(

@@ -5,7 +5,8 @@ residuals, Jacobians and Terracini rows were computed in one batched
 pass over all points.  They are kept verbatim as the oracle the batched
 code must match byte for byte, together with the degree-1 dual-number
 evaluation ``first_order_residuals`` that checks the Jacobian is the
-derivative of the residuals.
+derivative of the residuals, and ``tangent_frame``, which builds every
+single-slot substitution from ``segre_embed`` itself.
 """
 
 from __future__ import annotations
@@ -151,6 +152,22 @@ def first_order_residuals(
         val_blocks.append(t0)
         eps_blocks.append(t1)
     return np.concatenate(val_blocks), np.concatenate(eps_blocks)
+
+
+def tangent_frame(shape: ProductShape, point, p: int) -> np.ndarray:
+    """All single-slot substitutions, one row per (factor, basis slot).
+
+    Row (i, j) is the embedding of the point with factor i replaced by
+    e_j.  sum(n_i + 1) rows; whenever every factor vector is nonzero they
+    span a space of dimension exactly 1 + sum(n_i), and contracting the
+    factor-i block with q_i rebuilds the embedded point, for every i.
+    """
+    q = coerce_point(shape, point, p)
+    rows = []
+    for i, size in enumerate(shape.coord_sizes):
+        for e in np.eye(size, dtype=np.int64):
+            rows.append(segre_embed(shape, q[:i] + (e,) + q[i + 1 :], p))
+    return np.array(rows, dtype=np.int64)
 
 
 def _prefix_suffix(q: tuple[np.ndarray, ...], p: int):

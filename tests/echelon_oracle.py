@@ -1,8 +1,9 @@
-"""Reference elimination: the unblocked row-by-row echelon.
+"""Reference elimination and product: the unblocked row-by-row echelon
+and an exact product in Python integers.
 
-This is the elimination ``segreid.exactlin`` used before its blocked,
-BLAS-backed echelon, kept verbatim as the oracle the blocked version
-must match exactly (same pivots, same reduced echelon form).
+The echelon is the elimination ``segreid.exactlin`` used before its
+blocked, BLAS-backed echelon, kept verbatim as the oracle the blocked
+version must match exactly (same pivots, same reduced echelon form).
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ def _echelon(mat, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def matmul_mod(x, y, p: int) -> np.ndarray:
+    """Exact ``x @ y mod p``: the product taken in Python integers
+    (object dtype), which cannot overflow, then reduced to int64."""
+    prod = np.asarray(x, dtype=object) @ np.asarray(y, dtype=object)
+    return (prod % p).astype(np.int64)
 
 
 def kernel_basis(a, pivots, p: int) -> np.ndarray:

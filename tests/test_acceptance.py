@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 
-from contact_oracle import first_order_residuals
+from contact_oracle import first_order_residuals, tangent_frame
+from echelon_oracle import matmul_mod
 from segreid.bounds import NOTE_M6_K9, product_bound_max_k
 from segreid.certificates import certificate_from_verdict, validate_certificate_dict
 from segreid.cli import main, run_sweep
-from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_matvec, ff_rank
-from segreid.segre import ProductShape, random_point, segre_embed, tangent_frame
+from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
+from segreid.segre import ProductShape, random_point, segre_embed
 from segreid.tangency import (
     VerdictStatus,
     contact_corank,
@@ -195,6 +196,10 @@ def _suite_euler_containment(pool, rng):
             assert (got == emb).all()
             row += size
         assert ff_rank(np.vstack([frame, emb]), p) == ff_rank(frame, p)
+        # the affine frame starts at the embedding and spans no more
+        aff = terracini_matrix(s, [q], p)
+        assert (aff[0] == emb).all()
+        assert ff_rank(np.vstack([frame, aff]), p) == ff_rank(frame, p)
         cases += 1
     return cases
 
@@ -206,6 +211,7 @@ def _suite_frame_rank(pool, rng):
         p = DEFAULT_PRIMES[rng.residue(3)]
         q = random_point(s, rng, p)
         assert ff_rank(tangent_frame(s, q, p), p) == 1 + s.dim
+        assert ff_rank(terracini_matrix(s, [q], p), p) == 1 + s.dim
         cases += 1
     return cases
 
@@ -228,7 +234,7 @@ def _suite_gl_equivariance(pool, rng):
         pts = [random_point(s, rng, p) for _ in range(k + 1)]
         mats = [_random_invertible(rng, n + 1, p) for n in s.factor_dims]
         moved = [
-            tuple(ff_matvec(g, f, p) for g, f in zip(mats, q)) for q in pts
+            tuple(matmul_mod(g, f, p) for g, f in zip(mats, q)) for q in pts
         ]
         before = ff_rank(terracini_matrix(s, pts, p), p)
         # a moved point may land outside the chart; frames need nonzero firsts
@@ -303,7 +309,7 @@ def _suite_first_order(rng):
             v = np.array([rng.residue(p) for _ in range(s.dim)], dtype=np.int64)
             val, eps = first_order_residuals(s, h, q, v, p)
             assert not val.any()
-            assert (eps == ff_matvec(jac, v, p)).all()
+            assert (eps == matmul_mod(jac, v, p)).all()
             cases += 1
     return cases
 

@@ -269,6 +269,30 @@ def test_bad_arguments_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["probe", "--binary", "3", "-k", "1", "--seed", "-1"], "--seed"),
+        (["sweep", "-m", "4", "--seed", "-1"], "--seed"),
+        (["probe", "--binary", "3", "-k", "-1"], "-k"),
+        (["probe", "--binary", "3", "-k", "one"], "-k"),
+        (["probe", "--binary", "3", "-k", "1", "--trials", "0"], "--trials"),
+        (["sweep", "-m", "4", "--trials", "0"], "--trials"),
+        (["sweep", "-m", "4", "--jobs", "0"], "--jobs"),
+        (["probe", "--binary", "0", "-k", "1"], "--binary"),
+    ],
+)
+def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, capsys):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--store", str(store)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s" % option in captured.err
+    assert not store.exists()
+
+
 def test_console_script_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -15,7 +15,7 @@ import pytest
 import contact_oracle as oracle
 from segreid import tangency
 from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
-from segreid.segre import ProductShape, affine_tangent_frame, coerce_points, random_point
+from segreid.segre import ProductShape, coerce_points, random_point
 from segreid.tangency import contact_coranks, contact_corank, contact_jacobian, tangency_residuals
 from segreid.terracini import terracini_matrix
 
@@ -79,7 +79,6 @@ def test_one_point_batch_matches_oracle(dims):
     p = PRIMES[1]
     s, pts, h = contact_case(dims, p, seed=5)
     q = pts[0]
-    assert same(affine_tangent_frame(s, q, p), oracle.affine_tangent_frame(s, q, p))
     assert same(terracini_matrix(s, [q], p), oracle.terracini_matrix(s, [q], p))
     assert same(tangency_residuals(s, h, q, p), oracle.tangency_residuals(s, h, q, p))
     assert same(contact_jacobian(s, h, q, p), oracle.contact_jacobian(s, h, q, p))
@@ -110,9 +109,9 @@ def test_frame_errors_match_oracle():
     for build in (terracini_matrix, oracle.terracini_matrix):
         with pytest.raises(ValueError, match="factor 1 has first coordinate 0 mod 7"):
             build(s, pts, 7)
-    for build in (affine_tangent_frame, oracle.affine_tangent_frame):
+    for build in (terracini_matrix, oracle.terracini_matrix):
         with pytest.raises(ValueError, match="factor 1 has shape"):
-            build(s, (pts[0][0], pts[0][1][:2], pts[0][2]), 7)
+            build(s, [(pts[0][0], pts[0][1][:2], pts[0][2])], 7)
 
 
 def test_batch_names_the_stranger_point():

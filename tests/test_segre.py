@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from segreid.exactlin import SplitMix64, ff_matmul, ff_rank
+from contact_oracle import tangent_frame
+from echelon_oracle import matmul_mod
+from segreid.exactlin import SplitMix64, ff_rank
 from segreid.segre import (
     COORDINATE_ORDER,
     ProductShape,
-    affine_tangent_frame,
     coerce_point,
     random_point,
     segre_embed,
-    substitution_vector,
-    tangent_frame,
 )
+from segreid.terracini import terracini_matrix
 
 P = 2147483647
 
@@ -100,30 +100,6 @@ def test_random_point_nonzero_and_deterministic():
         assert ((1 <= fa) & (fa < P)).all()
 
 
-def test_substitution_vector_matches_direct_kron():
-    s = ProductShape((1, 2, 1))
-    rng = SplitMix64(7)
-    q = random_point(s, rng, P)
-    for i in range(3):
-        for j in range(s.factor_dims[i] + 1):
-            e = np.zeros(s.coord_sizes[i], dtype=np.int64)
-            e[j] = 1
-            subbed = list(q)
-            subbed[i] = e
-            want = segre_embed(s, subbed, P)
-            got = substitution_vector(s, q, i, j, P)
-            assert (got == want).all()
-
-
-def test_substitution_vector_index_errors():
-    s = ProductShape((1, 1))
-    q = random_point(s, SplitMix64(0), P)
-    with pytest.raises(ValueError):
-        substitution_vector(s, q, 2, 0, P)
-    with pytest.raises(ValueError):
-        substitution_vector(s, q, 0, 2, P)
-
-
 def test_tangent_frame_rows_and_rank():
     for dims in [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2)]:
         s = ProductShape(dims)
@@ -131,6 +107,9 @@ def test_tangent_frame_rows_and_rank():
         frame = tangent_frame(s, q, P)
         assert frame.shape == (sum(s.coord_sizes), s.ambient_dim + 1)
         assert ff_rank(frame, P) == 1 + s.dim
+        aff = terracini_matrix(s, [q], P)
+        assert aff.shape == (1 + s.dim, s.ambient_dim + 1)
+        assert ff_rank(aff, P) == 1 + s.dim
 
 
 def test_tangent_frame_contracts_to_embedded_point():
@@ -152,10 +131,13 @@ def test_tangent_frame_contracts_to_embedded_point():
 def test_affine_frame_rows_and_span():
     s = ProductShape((1, 2, 1))
     q = random_point(s, SplitMix64(29), P)
-    aff = affine_tangent_frame(s, q, P)
+    aff = terracini_matrix(s, [q], P)
     assert aff.shape == (1 + s.dim, s.ambient_dim + 1)
     assert (aff[0] == segre_embed(s, q, P)).all()
     full = tangent_frame(s, q, P)
+    # the chart partials are the substitutions with j >= 1
+    slot = np.cumsum((0,) + s.coord_sizes)
+    assert (aff[1:] == np.delete(full, slot[:-1], axis=0)).all()
     assert ff_rank(aff, P) == ff_rank(full, P) == 1 + s.dim
     # same row space: stacking adds nothing
     assert ff_rank(np.vstack([aff, full]), P) == 1 + s.dim
@@ -165,7 +147,7 @@ def test_affine_frame_rejects_zero_chart_coordinate():
     s = ProductShape((1, 1))
     q = (np.array([0, 1]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        affine_tangent_frame(s, q, P)
+        terracini_matrix(s, [q], P)
 
 
 def test_frame_at_basis_point_is_coordinate_rows():
@@ -173,7 +155,7 @@ def test_frame_at_basis_point_is_coordinate_rows():
     # partial lands at flat index 1*2+0 = 2 (leftmost index is slowest)
     s = ProductShape((1, 1))
     q = (np.array([1, 0]), np.array([1, 0]))
-    aff = affine_tangent_frame(s, q, P)
+    aff = terracini_matrix(s, [q], P)
     assert aff.tolist() == [
         [1, 0, 0, 0],
         [0, 0, 1, 0],
@@ -194,8 +176,8 @@ def test_embed_gl_equivariance():
             )
             for n in s.factor_dims
         ]
-        moved = [np.asarray(ff_matmul(m, f[:, None], P))[:, 0] for m, f in zip(mats, q)]
+        moved = [matmul_mod(m, f, P) for m, f in zip(mats, q)]
         big = np.kron(mats[0], mats[1]) % P
         lhs = segre_embed(s, moved, P)
-        rhs = np.asarray(ff_matmul(big, segre_embed(s, q, P)[:, None], P))[:, 0]
+        rhs = matmul_mod(big, segre_embed(s, q, P), P)
         assert (lhs == rhs).all()
