@@ -488,7 +488,7 @@ def build_parser():
     sw.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed; per-cell "
                     "seeds are derived by hashing (shape, k, prime) with it")
     sw.add_argument("--jobs", type=_int_at_least(1), default=1)
-    sw.add_argument("--max-k", type=int, default=None)
+    sw.add_argument("--max-k", type=_int_at_least(1), default=None)
     sw.add_argument("--csv", default=None, metavar="PATH",
                     help="also write a flat summary table")
     sw.add_argument("--store", default=None)

@@ -7,16 +7,22 @@ capped below 2**31: ``a * b <= (p - 1)**2 < 2**62`` and
 ``a - b * c > -2**62`` both stay inside int64, so one reduction per
 operation suffices and no intermediate ever overflows.
 
-Elimination is a blocked, right-looking Gaussian elimination over F_p
-(FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  The
-first-nonzero-pivot loop finds each panel's pivots on the panel alone;
-the trailing columns receive its row operations as matrix products, and
-a reduced form is finished by back-substitution over the non-pivot
-columns.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is eliminated
-by the pivot loop alone.  The products run on float64 BLAS, one per
-limb of the left factor (``_matmul_mod``).  Every limb sum stays below
-2**53, where float64 is exact, so the results do not depend on the
-summation order, the thread count or the BLAS build.
+Elimination is an in-place CUP factorisation over F_p, blocked and
+right-looking (FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008; Jeannerod, Pernet, Storjohann, J. Symbolic Comput. 56, 2013).  A
+first-nonzero-pivot loop factors each 16-column sub-panel of each
+64-column panel, keeping every multiplier in the entry it zeroes (the L
+factor); the columns right of a block receive the block's row
+operations as two products, ``U12 = L11^-1 A12`` and
+``A22 - L21 U12``.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is
+factored by the pivot loop alone.  A reduced form is finished by
+back-substitution over the non-pivot columns; one kernel vector is
+solved for on the factored form without it (``_kernel_vector``).  The
+products run on float64 BLAS, one per limb of the left factor
+(``_matmul_mod``): every limb sum stays below 2**53, where float64 is
+exact, and the limbs are recombined in int64 below 2**55, so the
+results do not depend on the summation order, the thread count or the
+BLAS build.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and the reduced echelon form of
@@ -124,6 +130,9 @@ def _as_matrix(mat, p: int) -> np.ndarray:
 
 # Columns per elimination panel.
 _PANEL = 64
+# Columns per sub-panel: each panel is factored as sub-panels this wide,
+# so the pivot loop's row updates stay this narrow.
+_SUB = 16
 # Up to this width the pivot loop alone is faster than the blocked
 # elimination, whose bookkeeping costs more than it saves on a
 # matrix of two panels.
@@ -135,16 +144,23 @@ _SLAB = 128
 _MAX_INNER = 1 << 20
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, minus=None) -> np.ndarray:
     """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
     For inner dimension n, ``x`` is split into limbs of
     ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole: each
     limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, exact
-    in any order.  Horner's rule from the top limb down recombines them,
-    ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``, reduced once
-    per limb.  Inner dimensions up to 64 take 2 limbs, up to 2048 take 3.
-    Raises ValueError above ``_MAX_INNER``.
+    in any order.  Horner's rule from the top limb down recombines them
+    in int64, ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``,
+    reduced once per limb.  Inner dimensions up to 64 take 2 limbs, up
+    to 2048 take 3.  With ``minus``, residues of the result's shape, the
+    result is ``(minus - x @ y) mod p`` at no extra reduction: the last
+    Horner step forms ``M - (acc * 2**b + part) + minus``, where
+    ``M = p * 2**(55 - bitlen(p))`` lies in ``[2**54, 2**55)``, so the
+    value lies in ``(0, 2**55 + 2**31)``; np.remainder takes nonnegative
+    int64 about twice as fast as negative.  The limb and product
+    temporaries are allocated once per call and reused.  Raises
+    ValueError above ``_MAX_INNER``.
     """
     n = x.shape[1]
     if n > _MAX_INNER:
@@ -153,127 +169,205 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
         )
     b = 22 - (n - 1).bit_length()
     yf = y.astype(np.float64)
-    bits = (p - 1).bit_length()
-    acc = 0
-    for shift in range((bits - 1) // b * b, -1, -b):
-        limb = ((x >> shift) & ((1 << b) - 1)).astype(np.float64)
-        acc = (acc * (1 << b) + (limb @ yf).astype(np.int64)) % p
+    limb = np.empty(x.shape, dtype=np.int64)
+    limbf = np.empty(x.shape)
+    part = np.empty((x.shape[0], y.shape[1]))
+    ipart = np.empty(part.shape, dtype=np.int64)
+    acc = np.empty(part.shape, dtype=np.int64)
+    top = ((p - 1).bit_length() - 1) // b * b
+    for shift in range(top, -1, -b):
+        np.right_shift(x, shift, out=limb)
+        np.bitwise_and(limb, (1 << b) - 1, out=limb)
+        limbf[...] = limb
+        np.matmul(limbf, yf, out=part)
+        if shift == top:
+            acc[...] = part
+        else:
+            ipart[...] = part
+            np.left_shift(acc, b, out=acc)
+            acc += ipart
+        if shift == 0 and minus is not None:
+            np.subtract(p << (55 - p.bit_length()), acc, out=acc)
+            acc += minus
+        np.remainder(acc, p, out=acc)
     return acc
 
 
-def _pivot_loop(a, p: int, reduced: bool, width: int, swaps=None) -> list[int]:
-    """Eliminate columns ``[0, width)`` of ``a`` in place; return their pivots.
+def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int) -> list[int]:
+    """Factor columns ``[c0, c1)`` of ``a`` from row ``r`` down, in place.
 
-    Pivot choice is the first nonzero entry of the column.  Each row
-    update is one vectorized multiply-subtract with a single reduction
-    per residue product, valid because entries stay below p < 2**31.
-    Row swaps are appended to ``swaps`` when it is a list.  Columns past
-    ``width``, if any, start at zero and track the row operations: the
-    j-th pivot row gets a 1 in column ``width + j``, so when every row
-    becomes a pivot without a swap, they end holding each row over the
-    rows as they were on entry.
+    Returns the pivot columns.  Pivot choice is the first nonzero entry
+    of the column; its row is swapped whole up to row r.  The pivot d
+    stays in place, as L's diagonal, and the pivot row is divided by d
+    right of it, up to c1.  Each row below with a nonzero entry f in the
+    pivot column subtracts f times the pivot row there, one reduction
+    per residue product, valid because entries stay below p < 2**31,
+    and keeps f, its multiplier in L.  Columns from c1 are left to
+    ``_update``.
     """
-    rows, cols = a.shape
+    rows = a.shape[0]
     pivots: list[int] = []
-    r = 0
-    for c in range(width):
+    for c in range(c0, c1):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
+        if nz[0]:
+            piv = r + int(nz[0])
             a[[r, piv]] = a[[piv, r]]
-            if swaps is not None:
-                swaps.append((r, piv))
-        # columns past ``end`` are zero in the pivot row
-        end = None
-        if cols > width:
-            a[r, width + r] = 1
-            end = width + r + 1
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:end] = (a[r, c:end] * inv) % p
-        if reduced:
-            f = a[:, c].copy()
-            f[r] = 0
-        else:
-            f = np.zeros(rows, dtype=np.int64)
-            f[r + 1 :] = a[r + 1 :, c]
-        hit = np.nonzero(f)[0]
+        u = a[r, c + 1 : c1]
+        u[...] = u * pow(int(a[r, c]), -1, p) % p
+        # the swapped-down row is zero in column c, so the rows below
+        # with a nonzero there are the rest of nz
+        hit = r + nz[1:]
         if hit.size:
-            a[hit, c:end] = (a[hit, c:end] - f[hit, None] * a[r, c:end]) % p
+            a[hit, c + 1 : c1] = (a[hit, c + 1 : c1] - a[hit, c, None] * u) % p
         pivots.append(c)
         r += 1
     return pivots
 
 
+def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the lower triangle of the square residue matrix ``t``.
+
+    The diagonal D must be nonzero; entries above it are ignored.  With
+    the rows divided by their diagonal entries, ``L = D L'`` and L' is
+    unit lower triangular, inverted in k - 1 steps of column elimination
+    on the identity; then ``L^-1 = L'^-1 D^-1``.
+    """
+    k = len(t)
+    dinv = np.array([pow(int(d), -1, p) for d in t.diagonal()], dtype=np.int64)
+    t = t * dinv[:, None] % p
+    x = np.eye(k, dtype=np.int64)
+    for j in range(k - 1):
+        x[j + 1 :, : j + 1] = (x[j + 1 :, : j + 1] - t[j + 1 :, j, None] * x[j, : j + 1]) % p
+    return x * dinv % p
+
+
+def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the unit upper triangle of the square residue
+    matrix ``u``; its diagonal and the entries below are ignored."""
+    t = u.T.copy()
+    np.fill_diagonal(t, 1)
+    return _lower_inverse(t, p).T
+
+
+def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) -> None:
+    """Carry the pivots ``piv``, factored on rows from ``r0``, to columns ``[c1, c2)``.
+
+    L11 is the pivot rows' lower triangle in the pivot columns (its
+    diagonal the pivots) and L21 the multipliers below it.  Slab by
+    slab, the pivot rows become ``U12 = L11^-1 A12`` and the rows below
+    ``A22 - L21 U12``.
+    """
+    r1 = r0 + len(piv)
+    linv = _lower_inverse(a[r0:r1, piv], p)
+    l21 = a[r1:, piv]
+    hit = np.flatnonzero(l21.any(axis=1))
+    below = slice(r1, None)
+    if hit.size < len(l21):
+        # rows without a multiplier keep their entries
+        l21, below = l21[hit], r1 + hit
+    for s0 in range(c1, c2, _SLAB):
+        s = slice(s0, min(s0 + _SLAB, c2))
+        a[r0:r1, s] = _matmul_mod(linv, a[r0:r1, s], p)
+        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, minus=a[below, s])
+
+
+def _blocks(pivots: list[int], cols: int):
+    """(first row, end row, first column) of the pivot rows of each
+    ``_PANEL`` columns, bottom first, skipping blocks without a pivot."""
+    for c0 in range((cols - 1) // _PANEL * _PANEL, -1, -_PANEL):
+        lo, hi = (int(i) for i in np.searchsorted(pivots, (c0, c0 + _PANEL)))
+        if lo < hi:
+            yield lo, hi, c0
+
+
+def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    return np.flatnonzero(is_free)
+
+
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """Pivot columns of the residue matrix ``a``, eliminated in place.
 
-    ``a`` ends in row echelon form, reduced with ``reduced``.  Each panel
-    ``c0:c1`` is taken against the rows ``r0:`` holding no pivot yet.
-    The pivot loop finds its k pivots and row swaps on a copy of
-    ``a[r0:, c0:c1]``; the swaps are applied to ``a[r0:, c0:]``; the
-    tracked loop reduces the k pivot rows' panel alone, which needs no
-    swap, giving ``new pivot rows = coef @ pivot rows``.  Slab by slab,
-    the pivot rows' trailing columns become ``coef @ pivot rows``, and
-    each row below subtracts its pivot-column entries, read first, times
-    the new pivot rows.  Rows above ``r0`` are never touched.  A reduced
-    form is finished by back-substitution over the non-pivot columns,
-    bottom panel first, so that the rows it subtracts are clear of every
-    later pivot column; the pivot columns then hold the identity.
+    The pivots and row swaps are those of plain elimination taking
+    columns left to right.  Without ``reduced``, ``a`` ends as its CUP
+    factorisation, rows swapped: row i below the rank holds U right of
+    its pivot column, the pivot value (L's diagonal; U's is 1 and not
+    stored) at it, and left of it zeros except in the pivot columns of
+    the rows above, which hold L's multipliers; the rows past the rank
+    hold multipliers only.  A matrix wider than ``_PLAIN_MAX_COLS`` is
+    factored in panels of ``_PANEL`` columns, each as sub-panels of
+    ``_SUB`` columns: the pivot loop factors a sub-panel, ``_update``
+    carries its pivots to the rest of the panel, and then the panel's
+    pivots to the columns right of it.  Narrower matrices take the pivot
+    loop alone.
+
+    With ``reduced``, ``a`` ends in reduced row echelon form.  Bottom
+    panel first, the pivot rows of each panel's columns are multiplied
+    by the inverse of their unit upper triangle in its pivot columns and
+    then subtracted from the rows above, on the non-pivot columns alone;
+    the pivot columns are written as the identity and the rows past the
+    rank as zero.
     """
-    rows, cols = a.shape
+    cols = a.shape[1]
     if cols <= _PLAIN_MAX_COLS:
-        return _pivot_loop(a, p, reduced, cols)
-    pivots: list[int] = []
-    # (first row, pivot columns) of every panel with a pivot
-    panels: list[tuple[int, list[int]]] = []
-    r0 = 0
-    for c0 in range(0, cols, _PANEL):
-        if r0 == rows:
-            break
-        c1 = min(c0 + _PANEL, cols)
-        w = c1 - c0
-        swaps: list[tuple[int, int]] = []
-        local = _pivot_loop(a[r0:, c0:c1].copy(), p, False, w, swaps)
-        k = len(local)
-        if k == 0:
-            continue
-        for i, j in swaps:
-            a[[r0 + i, r0 + j], c0:] = a[[r0 + j, r0 + i], c0:]
-        r1 = r0 + k
-        piv = [c0 + c for c in local]
-        top = np.zeros((k, w + k), dtype=np.int64)
-        top[:, :w] = a[r0:r1, c0:c1]
-        _pivot_loop(top, p, True, w)
-        coef = top[:, w:]
-        below = a[r1:, piv]
-        for s0 in range(c1, cols, _SLAB):
-            s = slice(s0, min(s0 + _SLAB, cols))
-            a[r0:r1, s] = _matmul_mod(coef, a[r0:r1, s], p)
-            a[r1:, s] = (a[r1:, s] - _matmul_mod(below, a[r0:r1, s], p)) % p
-        a[r0:r1, c0:c1] = top[:, :w]
-        a[r1:, c0:c1] = 0
-        panels.append((r0, piv))
-        pivots.extend(piv)
-        r0 = r1
+        pivots = _pivot_loop(a, p, 0, 0, cols)
+    else:
+        pivots = []
+        for c0 in range(0, cols, _PANEL):
+            c1 = min(c0 + _PANEL, cols)
+            r0 = len(pivots)
+            for s0 in range(c0, c1, _SUB):
+                s1 = min(s0 + _SUB, c1)
+                piv = _pivot_loop(a, p, len(pivots), s0, s1)
+                if piv and s1 < c1:
+                    _update(a, p, len(pivots), piv, s1, c1)
+                pivots += piv
+            if len(pivots) > r0 and c1 < cols:
+                _update(a, p, r0, pivots[r0:], c1, cols)
     if reduced:
-        is_free = np.ones(cols, dtype=bool)
-        is_free[pivots] = False
-        free = np.flatnonzero(is_free)
-        f = a[:r0, free]
-        for ra, piv in reversed(panels):
-            rb = ra + len(piv)
-            m = a[:ra, piv]
-            for s0 in range(np.searchsorted(free, piv[0]), free.size, _SLAB):
-                s = slice(s0, s0 + _SLAB)
-                f[:ra, s] = (f[:ra, s] - _matmul_mod(m, f[ra:rb, s], p)) % p
-        a[:r0, free] = f
-        a[:r0, pivots] = 0
-        a[np.arange(r0), pivots] = 1
+        rank = len(pivots)
+        free = _free_columns(cols, pivots)
+        f = a[:rank, free]
+        for lo, hi, c0 in _blocks(pivots, cols):
+            q = pivots[lo:hi]
+            s0 = int(np.searchsorted(free, c0))
+            uinv = _unit_upper_inverse(a[lo:hi, q], p)
+            f[lo:hi, s0:] = _matmul_mod(uinv, f[lo:hi, s0:], p)
+            m = a[:lo, q]
+            for s1 in range(s0, free.size, _SLAB):
+                s = slice(s1, s1 + _SLAB)
+                f[:lo, s] = _matmul_mod(m, f[lo:hi, s], p, minus=f[:lo, s])
+        a[:rank, free] = f
+        a[:rank, pivots] = 0
+        a[np.arange(rank), pivots] = 1
+        a[rank:] = 0
     return pivots
+
+
+def _kernel_vector(a: np.ndarray, pivots: list[int], cs, p: int) -> np.ndarray:
+    """The kernel vector whose free coordinates, left to right, are ``cs``.
+
+    ``a`` and ``pivots`` are as ``_eliminate(a, p, reduced=False)`` left
+    them.  The vector equals ``sum(c * row)`` over ``cs`` and the rows of
+    ``ff_kernel``'s basis; its pivot coordinates solve U h = 0 by block
+    back-substitution, the pivot rows of ``_PANEL`` columns at a time,
+    bottom block first.  With the block's own pivot coordinates still 0,
+    which is also what its multipliers meet, its rows give
+    ``t = a[rows, c0:] @ h``, and its pivot coordinates are ``-U11^-1 t``.
+    """
+    cols = a.shape[1]
+    h = np.zeros(cols, dtype=np.int64)
+    h[_free_columns(cols, pivots)] = cs
+    for lo, hi, c0 in _blocks(pivots, cols):
+        q = pivots[lo:hi]
+        t = _matmul_mod(a[lo:hi, c0:], h[c0:, None], p)
+        h[q] = -_matmul_mod(_unit_upper_inverse(a[lo:hi, q], p), t, p)[:, 0] % p
+    return h
 
 
 def ff_rank(mat, p: int) -> int:
@@ -291,11 +385,8 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     """
     a = _as_matrix(mat, p)
     pivots = _eliminate(a, p, reduced=True)
-    cols = a.shape[1]
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
+    free = _free_columns(a.shape[1], pivots)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-a[: len(pivots), free].T) % p
     return basis

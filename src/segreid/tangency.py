@@ -29,7 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import SPECIAL_CELLS
-from .exactlin import DEFAULT_PRIMES, _matmul_mod, ff_kernel, ff_rank
+from .exactlin import (
+    DEFAULT_PRIMES,
+    _eliminate,
+    _kernel_vector,
+    _matmul_mod,
+    ff_kernel,
+    ff_rank,
+)
 from .segre import ProductShape, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
@@ -250,10 +257,11 @@ def weak_defectivity_probe(
 
     Requires k*dim X + dim X + k < r; above that no general tangent
     hyperplane exists and the order-1 criterion cannot apply.  Per
-    trial: draw k+1 points, compute the Terracini kernel; on a
-    defect-free sample draw a uniform nonzero kernel combination (the
-    coefficients are recorded for replay) and compute the contact
-    corank at each point.  A trial with every corank 0 certifies
+    trial: draw k+1 points and eliminate their Terracini matrix; on a
+    defect-free sample draw a uniform nonzero combination of the
+    ``ff_kernel`` basis (the coefficients are recorded for replay),
+    solved for on the echelon form, and compute the contact corank at
+    each point.  A trial with every corank 0 certifies
     non-k-weak-defectivity and stops the loop.  When every trial shows
     a rank shortfall the coranks stay None: the shortfall itself is the
     finding, and it propagates as a defect candidate.
@@ -270,21 +278,23 @@ def weak_defectivity_probe(
     coeffs = None
     coranks = None
     for rng, pts, mat in _trials(shape, k, trials, prime, seed):
-        kernel = ff_kernel(mat, prime)
-        rank = mat.shape[1] - len(kernel)
+        # the Terracini matrix holds residues, so it is eliminated in place
+        pivots = _eliminate(mat, prime, reduced=False)
+        rank = len(pivots)
         best = max(best, rank - 1)
         if rank - 1 != exp:
             continue
+        nullity = r + 1 - rank
+        # h's free coordinates are cs, so h == 0 exactly when every c is
         while True:
-            cs = tuple(rng.residue(prime) for _ in range(len(kernel)))
-            h = np.zeros(r + 1, dtype=np.int64)
-            for c, row in zip(cs, kernel):
-                h = (h + c * row) % prime
-            if h.any():
+            cs = tuple(rng.residue(prime) for _ in range(nullity))
+            if any(cs):
                 break
+        h = _kernel_vector(mat, pivots, cs, prime)
+        del mat
         trial_coranks = contact_coranks(shape, h, pts, prime)
         if coranks is None or all(c == 0 for c in trial_coranks):
-            kernel_dim = len(kernel)
+            kernel_dim = nullity
             coeffs = cs
             coranks = trial_coranks
         if all(c == 0 for c in trial_coranks):

@@ -280,6 +280,8 @@ def test_bad_arguments_exit_2(argv, capsys):
         (["sweep", "-m", "4", "--trials", "0"], "--trials"),
         (["sweep", "-m", "4", "--jobs", "0"], "--jobs"),
         (["probe", "--binary", "0", "-k", "1"], "--binary"),
+        (["sweep", "-m", "5", "--max-k", "0"], "--max-k"),
+        (["sweep", "-m", "5", "--max-k", "-3"], "--max-k"),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, capsys):

@@ -14,13 +14,14 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from echelon_oracle import _echelon, kernel_basis
+from echelon_oracle import _echelon, kernel_basis, matmul_mod
 from segreid import exactlin
 from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
 from segreid.segre import ProductShape, random_point
 from segreid.terracini import terracini_matrix
 
 NB = exactlin._PANEL
+SUB = exactlin._SUB
 CROSSOVER = exactlin._PLAIN_MAX_COLS
 PRIMES = (3, 65521, 2**31 - 1)
 WIDTHS = sorted({NB - 1, NB, NB + 1, CROSSOVER, CROSSOVER + 1, 2 * NB + 1})
@@ -165,3 +166,84 @@ def test_limb_product_exact_at_limb_count_boundaries(n):
     got = exactlin._matmul_mod(x, y, p)
     want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
     assert got.tolist() == want
+
+
+def assert_cup_matches_oracle(m, p):
+    # assert_matches_oracle, plus the probe's hyperplane: the kernel vector
+    # with free coordinates cs, solved on the non-reduced form
+    want, want_pivots = assert_echelon_matches_oracle(m, p)
+    basis = kernel_basis(want, want_pivots, p)
+    assert ff_kernel(m, p).tobytes() == basis.tobytes()
+    a = exactlin._as_matrix(m, p)
+    assert exactlin._eliminate(a, p, reduced=False) == want_pivots
+    rng = np.random.default_rng([len(basis), p])
+    cs = rng.integers(0, p, (1, len(basis)))
+    h = exactlin._kernel_vector(a, want_pivots, tuple(cs[0].tolist()), p)
+    assert h.dtype == np.int64
+    assert h.tolist() == matmul_mod(cs, basis, p)[0].tolist()
+    assert not matmul_mod(m, h[:, None], p).any()
+    return len(want_pivots)
+
+
+def binary_terracini(m, k, p):
+    shape = ProductShape((1,) * m)
+    rng = SplitMix64(1000 * m + k)
+    return terracini_matrix(shape, [random_point(shape, rng, p) for _ in range(k + 1)], p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("m, k", [(9, 27), (10, 40)])
+def test_terracini_matrices_past_four_panels_match_oracle(m, k, p):
+    # 280x512 and 451x1024, eight and sixteen panels; rank deficient at p = 3
+    mat = binary_terracini(m, k, p)
+    assert mat.shape == ((k + 1) * (m + 1), 2**m)
+    assert_cup_matches_oracle(mat, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("cols", [SUB + 3, NB + SUB + 1, 2 * NB + 2 * SUB + 7, 4 * NB + SUB - 3])
+def test_rank_deficient_odd_widths_match_oracle(path, cols, p):
+    # widths no multiple of SUB or NB; zero columns and a rank below both dimensions
+    rng = np.random.default_rng([cols, p])
+    for rows in (cols // 3 + 2, cols + 5):
+        m = low_rank(rng, rows, cols, min(rows, cols) // 2 + 1, p)
+        m[:, rng.integers(0, cols, cols // 5)] = 0
+        assert assert_cup_matches_oracle(m, p) <= min(rows, cols) // 2 + 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sub_panel_without_pivot_matches_oracle(path, p):
+    rng = np.random.default_rng([23, p])
+    cols = 2 * NB + 2 * SUB + 5
+    m = rng.integers(0, p, (NB + 2 * SUB, cols))
+    # the second sub-panel is zero, the third repeats the first
+    m[:, SUB : 2 * SUB] = 0
+    m[:, 2 * SUB : 3 * SUB] = m[:, :SUB]
+    assert assert_cup_matches_oracle(m, p) == NB + 2 * SUB
+    # the same in the second panel, below rows that took all of the first
+    m = rng.integers(0, p, (NB + 2 * SUB, cols))
+    m[:, NB + SUB : NB + 2 * SUB] = 0
+    m[:, NB + 2 * SUB : NB + 3 * SUB] = m[:, NB : NB + SUB]
+    assert assert_cup_matches_oracle(m, p) == NB + 2 * SUB
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 64, 65, 2048])
+def test_limb_product_with_minus_exact(n, p):
+    # entries p - 1 and odd entries fill every limb; minus holds 0, p - 1
+    # and random residues, so the last Horner step meets either sign
+    rng = np.random.default_rng([29, n, p])
+    odd = min(p // 2, 2**15)
+    x = np.full((3, n), p - 1, dtype=np.int64)
+    x[1] = p - 2 - 2 * rng.integers(0, odd, n)
+    x[2] = rng.integers(0, p, n)
+    y = np.full((n, 3), p - 1, dtype=np.int64)
+    y[:, 1] = p - 2 - 2 * rng.integers(0, odd, n)
+    y[:, 2] = rng.integers(0, p, n)
+    minus = rng.integers(0, p, (3, 3))
+    minus[0] = 0
+    minus[1] = p - 1
+    got = exactlin._matmul_mod(x, y, p, minus=minus)
+    prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
+    want = [[(int(mv) - v) % p for mv, v in zip(mrow, row)] for mrow, row in zip(minus, prod)]
+    assert got.dtype == np.int64 and got.tolist() == want
