@@ -1,10 +1,12 @@
 """The blocked elimination against the unblocked oracle and sympy.
 
 The reduced echelon form is unique, so the blocked elimination must
-return exactly the oracle's pivots and reduced matrix, and ``ff_kernel``
-exactly the basis the oracle's form gives.  Matrices wider than
-``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
-twice, once routed by width and once with the blocked path forced.
+return exactly the oracle's pivots and reduced matrix, ``ff_kernel``
+exactly the basis the oracle's form gives, and ``_kernel_vector`` on the
+non-reduced form exactly the combination of that basis it is given.
+Matrices wider than ``_PLAIN_MAX_COLS`` take the blocked path anyway;
+narrower ones run twice, once routed by width and once with the
+blocked path forced.
 """
 
 import operator
@@ -230,8 +232,8 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 64, 65, 2048])
 def test_limb_product_with_minus_exact(n, p):
-    # entries p - 1 and odd entries fill every limb; minus holds 0, p - 1
-    # and random residues, so the last Horner step meets either sign
+    # entries p - 1 and odd entries fill every limb; minus rows of 0,
+    # p - 1 and random residues reach both ends of the last Horner step
     rng = np.random.default_rng([29, n, p])
     odd = min(p // 2, 2**15)
     x = np.full((3, n), p - 1, dtype=np.int64)
