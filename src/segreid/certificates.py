@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -113,30 +113,10 @@ class Certificate:
     coordinate_order: str = COORDINATE_ORDER
 
     def to_dict(self) -> dict:
+        """The record as JSON values: each field by name, tuples as lists."""
         return {
-            "schema_version": self.schema_version,
-            "shape": list(self.shape),
-            "k": self.k,
-            "prime": self.prime,
-            "seed": self.seed,
-            "generator": self.generator,
-            "trials": self.trials,
-            "coordinate_order": self.coordinate_order,
-            "expected_dim": self.expected_dim,
-            "observed_dim": self.observed_dim,
-            "defect": self.defect,
-            "kernel_dim": self.kernel_dim,
-            "hyperplane_coeffs": (
-                None
-                if self.hyperplane_coeffs is None
-                else list(self.hyperplane_coeffs)
-            ),
-            "coranks": None if self.coranks is None else list(self.coranks),
-            "verdict": self.verdict,
-            "propagated_from_k": self.propagated_from_k,
-            "cited": list(self.cited),
-            "notes": list(self.notes),
-            "wall_time_s": self.wall_time_s,
+            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+            for f in fields(self)
         }
 
     def json_line(self) -> str:
@@ -169,32 +149,9 @@ def validate_certificate_dict(d: dict) -> None:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
+    """Inverse of ``Certificate.to_dict``: the schema admits exactly its fields."""
     validate_certificate_dict(d)
-    return Certificate(
-        shape=tuple(d["shape"]),
-        k=d["k"],
-        prime=d["prime"],
-        seed=d["seed"],
-        trials=d["trials"],
-        expected_dim=d["expected_dim"],
-        observed_dim=d["observed_dim"],
-        defect=d["defect"],
-        kernel_dim=d["kernel_dim"],
-        hyperplane_coeffs=(
-            None
-            if d["hyperplane_coeffs"] is None
-            else tuple(d["hyperplane_coeffs"])
-        ),
-        coranks=None if d["coranks"] is None else tuple(d["coranks"]),
-        verdict=d["verdict"],
-        propagated_from_k=d["propagated_from_k"],
-        cited=tuple(d["cited"]),
-        notes=tuple(d["notes"]),
-        wall_time_s=d["wall_time_s"],
-        schema_version=d["schema_version"],
-        generator=d["generator"],
-        coordinate_order=d["coordinate_order"],
-    )
+    return Certificate(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 def certificate_from_verdict(

@@ -103,7 +103,7 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0, escalate=True):
         results[cell], walls[cell] = probe_cell(shape, k, trials, *cell)
 
     if escalate and any(r.defect > 0 for r in results.values()):
-        grid_primes = primes if len(set(primes)) >= 3 else DEFAULT_PRIMES
+        grid_primes = primes if len(primes) >= 3 else DEFAULT_PRIMES
         extra = [
             (pr, s)
             for pr in grid_primes
@@ -441,8 +441,10 @@ def _parse_shape(text):
 def _parse_primes(text):
     try:
         primes = tuple(int(part) for part in text.split(","))
-        for p in primes:
+        for i, p in enumerate(primes):
             check_prime(p)
+            if p in primes[:i]:
+                raise ValueError(f"prime {p} given twice")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return primes

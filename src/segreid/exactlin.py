@@ -15,18 +15,17 @@ first-nonzero-pivot loop factors each 16-column sub-panel of each
 factor); the columns right of a block receive the block's row
 operations as two products, ``U12 = L11^-1 A12`` and
 ``A22 - L21 U12``.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is
-factored by the pivot loop alone.  A reduced form is finished by
-back-substitution over the non-pivot columns; one kernel vector is
-solved for on the factored form without it (``_kernel_vector``).  The
-products run on float64 BLAS, one per limb of the left factor
-(``_matmul_mod``): every limb sum stays below 2**53, where float64 is
-exact, and the limbs are recombined in int64 below 2**55, so the
-results do not depend on the summation order, the thread count or the
-BLAS build.
+factored by the pivot loop alone.  Kernel vectors, one or a whole
+basis, come from one block back-substitution on the factored form
+(``_kernel``).  The products run on float64 BLAS, one per limb of the
+left factor (``_matmul_mod``): every limb sum stays below 2**53, where
+float64 is exact, and the limbs are recombined in int64 below 2**55,
+so the results do not depend on the summation order, the thread count
+or the BLAS build.
 
 Whatever rows the pivots come from, elimination that takes columns left
-to right finds the same pivot columns, and the reduced echelon form of
-a matrix is unique, so ranks and kernels are the same as those of the
+to right finds the same pivot columns, and a kernel vector is fixed by
+its free coordinates, so ranks and kernels are the same as those of the
 plain row-by-row elimination.
 """
 
@@ -284,17 +283,11 @@ def _blocks(pivots: list[int], cols: int):
             yield lo, hi, c0
 
 
-def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    return np.flatnonzero(is_free)
-
-
-def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """Pivot columns of the residue matrix ``a``, eliminated in place.
+def _eliminate(a: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of the residue matrix ``a``, factored in place.
 
     The pivots and row swaps are those of plain elimination taking
-    columns left to right.  Without ``reduced``, ``a`` ends as its CUP
+    columns left to right.  ``a`` ends as its CUP
     factorisation, rows swapped: row i below the rank holds U right of
     its pivot column, the pivot value (L's diagonal; U's is 1 and not
     stored) at it, and left of it zeros except in the pivot columns of
@@ -305,13 +298,6 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     carries its pivots to the rest of the panel, and then the panel's
     pivots to the columns right of it.  Narrower matrices take the pivot
     loop alone.
-
-    With ``reduced``, ``a`` ends in reduced row echelon form.  Bottom
-    panel first, the pivot rows of each panel's columns are multiplied
-    by the inverse of their unit upper triangle in its pivot columns and
-    then subtracted from the rows above, on the non-pivot columns alone;
-    the pivot columns are written as the identity and the rows past the
-    rank as zero.
     """
     cols = a.shape[1]
     if cols <= _PLAIN_MAX_COLS:
@@ -329,50 +315,37 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> list[int]:
                 pivots += piv
             if len(pivots) > r0 and c1 < cols:
                 _update(a, p, r0, pivots[r0:], c1, cols)
-    if reduced:
-        rank = len(pivots)
-        free = _free_columns(cols, pivots)
-        f = a[:rank, free]
-        for lo, hi, c0 in _blocks(pivots, cols):
-            q = pivots[lo:hi]
-            s0 = int(np.searchsorted(free, c0))
-            uinv = _unit_upper_inverse(a[lo:hi, q], p)
-            f[lo:hi, s0:] = _matmul_mod(uinv, f[lo:hi, s0:], p)
-            m = a[:lo, q]
-            for s1 in range(s0, free.size, _SLAB):
-                s = slice(s1, s1 + _SLAB)
-                f[:lo, s] = _matmul_mod(m, f[lo:hi, s], p, minus=f[:lo, s])
-        a[:rank, free] = f
-        a[:rank, pivots] = 0
-        a[np.arange(rank), pivots] = 1
-        a[rank:] = 0
     return pivots
 
 
-def _kernel_vector(a: np.ndarray, pivots: list[int], cs, p: int) -> np.ndarray:
-    """The kernel vector whose free coordinates, left to right, are ``cs``.
+def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndarray:
+    """The kernel vectors, as columns, whose free coordinates are ``xf``.
 
-    ``a`` and ``pivots`` are as ``_eliminate(a, p, reduced=False)`` left
-    them.  The vector equals ``sum(c * row)`` over ``cs`` and the rows of
-    ``ff_kernel``'s basis; its pivot coordinates solve U h = 0 by block
-    back-substitution, the pivot rows of ``_PANEL`` columns at a time,
-    bottom block first.  With the block's own pivot coordinates still 0,
-    which is also what its multipliers meet, its rows give
-    ``t = a[rows, c0:] @ h``, and its pivot coordinates are ``-U11^-1 t``.
+    ``a`` and ``pivots`` are as ``_eliminate`` left them, and ``xf``
+    holds one residue column per vector, its rows the free columns left
+    to right; column j is the combination of ``ff_kernel``'s basis with
+    coefficients ``xf[:, j]``.  The pivot coordinates solve U x = 0 by
+    block back-substitution, the pivot rows of ``_PANEL`` columns at a
+    time, bottom block first.  With the block's own pivot coordinates
+    still 0, which is also what its multipliers meet, its rows give
+    ``t = a[rows, c0:] @ x[c0:]``, and its pivot coordinates are
+    ``-U11^-1 t``.
     """
     cols = a.shape[1]
-    h = np.zeros(cols, dtype=np.int64)
-    h[_free_columns(cols, pivots)] = cs
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    x = np.zeros((cols, xf.shape[1]), dtype=np.int64)
+    x[free] = xf
     for lo, hi, c0 in _blocks(pivots, cols):
         q = pivots[lo:hi]
-        t = _matmul_mod(a[lo:hi, c0:], h[c0:, None], p)
-        h[q] = -_matmul_mod(_unit_upper_inverse(a[lo:hi, q], p), t, p)[:, 0] % p
-    return h
+        t = _matmul_mod(a[lo:hi, c0:], x[c0:], p)
+        x[q] = -_matmul_mod(_unit_upper_inverse(a[lo:hi, q], p), t, p) % p
+    return x
 
 
 def ff_rank(mat, p: int) -> int:
     """Rank over F_p."""
-    return len(_eliminate(_as_matrix(mat, p), p, reduced=False))
+    return len(_eliminate(_as_matrix(mat, p), p))
 
 
 def ff_kernel(mat, p: int) -> np.ndarray:
@@ -381,13 +354,10 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     Returns one basis vector per row of the result; the number of rows
     is always cols - ff_rank(mat) and ``mat @ v == 0 (mod p)`` holds
     exactly for each.  Free columns get a unit coordinate, so the basis
-    is in reduced echelon shape itself.
+    is in reduced echelon shape itself: the kernel vectors whose free
+    coordinates are the identity, solved for on the factored form.
     """
     a = _as_matrix(mat, p)
-    pivots = _eliminate(a, p, reduced=True)
-    free = _free_columns(a.shape[1], pivots)
-    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-a[: len(pivots), free].T) % p
-    return basis
-
+    pivots = _eliminate(a, p)
+    xf = np.eye(a.shape[1] - len(pivots), dtype=np.int64)
+    return np.ascontiguousarray(_kernel(a, pivots, xf, p).T)

@@ -32,7 +32,7 @@ from .bounds import SPECIAL_CELLS
 from .exactlin import (
     DEFAULT_PRIMES,
     _eliminate,
-    _kernel_vector,
+    _kernel,
     _matmul_mod,
     ff_kernel,
     ff_rank,
@@ -257,14 +257,15 @@ def weak_defectivity_probe(
 
     Requires k*dim X + dim X + k < r; above that no general tangent
     hyperplane exists and the order-1 criterion cannot apply.  Per
-    trial: draw k+1 points and eliminate their Terracini matrix; on a
+    trial: draw k+1 points and factor their Terracini matrix; on a
     defect-free sample draw a uniform nonzero combination of the
     ``ff_kernel`` basis (the coefficients are recorded for replay),
-    solved for on the echelon form, and compute the contact corank at
-    each point.  A trial with every corank 0 certifies
-    non-k-weak-defectivity and stops the loop.  When every trial shows
-    a rank shortfall the coranks stay None: the shortfall itself is the
-    finding, and it propagates as a defect candidate.
+    solved for as one column by the back-substitution ``ff_kernel``
+    runs, and compute the contact corank at each point.  A trial with
+    every corank 0 certifies non-k-weak-defectivity and stops the loop.
+    When every trial shows a rank shortfall the coranks stay None: the
+    shortfall itself is the finding, and it propagates as a defect
+    candidate.
     """
     if not order_one_applicable(shape, k):
         raise ValueError(
@@ -278,8 +279,8 @@ def weak_defectivity_probe(
     coeffs = None
     coranks = None
     for rng, pts, mat in _trials(shape, k, trials, prime, seed):
-        # the Terracini matrix holds residues, so it is eliminated in place
-        pivots = _eliminate(mat, prime, reduced=False)
+        # the Terracini matrix holds residues, so it is factored in place
+        pivots = _eliminate(mat, prime)
         rank = len(pivots)
         best = max(best, rank - 1)
         if rank - 1 != exp:
@@ -290,7 +291,7 @@ def weak_defectivity_probe(
             cs = tuple(rng.residue(prime) for _ in range(nullity))
             if any(cs):
                 break
-        h = _kernel_vector(mat, pivots, cs, prime)
+        h = _kernel(mat, pivots, np.array(cs, dtype=np.int64)[:, None], prime)[:, 0]
         del mat
         trial_coranks = contact_coranks(shape, h, pts, prime)
         if coranks is None or all(c == 0 for c in trial_coranks):

@@ -3,7 +3,8 @@ and an exact product in Python integers.
 
 The echelon is the elimination ``segreid.exactlin`` used before its
 blocked, BLAS-backed echelon, kept verbatim as the oracle the blocked
-version must match exactly (same pivots, same reduced echelon form).
+version must match exactly (same pivots, and the kernel basis that the
+oracle's reduced echelon form gives).
 """
 
 from __future__ import annotations

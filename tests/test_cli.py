@@ -282,6 +282,8 @@ def test_bad_arguments_exit_2(argv, capsys):
         (["probe", "--binary", "0", "-k", "1"], "--binary"),
         (["sweep", "-m", "5", "--max-k", "0"], "--max-k"),
         (["sweep", "-m", "5", "--max-k", "-3"], "--max-k"),
+        (["probe", "--binary", "3", "-k", "1", "--primes", "65521,65521"], "--primes"),
+        (["sweep", "-m", "4", "--primes", "65521,65521"], "--primes"),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """The blocked elimination against the unblocked oracle and sympy.
 
-The reduced echelon form is unique, so the blocked elimination must
-return exactly the oracle's pivots and reduced matrix, ``ff_kernel``
-exactly the basis the oracle's form gives, and ``_kernel_vector`` on the
-non-reduced form exactly the combination of that basis it is given.
-Matrices wider than ``_PLAIN_MAX_COLS`` take the blocked path anyway;
-narrower ones run twice, once routed by width and once with the
-blocked path forced.
+The blocked elimination must find exactly the oracle's pivots, and
+``ff_kernel`` must return exactly the basis the oracle's reduced echelon
+form gives.  A kernel vector is fixed by its free coordinates, so that
+basis holds the non-pivot part of the reduced form, and matching it
+checks the whole elimination although the package never forms that
+form.  ``_kernel`` on the factored form must return exactly the
+combinations of the basis it is given as free coordinates: one column,
+the probe's hyperplane, and three.  Matrices wider than
+``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
+twice, once routed by width and once with the blocked path forced.
 """
 
 import operator
@@ -49,21 +52,20 @@ def low_rank(rng, rows, cols, rank, p):
 
 
 def assert_echelon_matches_oracle(m, p):
+    # the factored matrix, its pivots and the oracle's kernel basis
     want, want_pivots = _echelon(m, p, reduced=True)
     a = exactlin._as_matrix(m, p)
-    assert exactlin._eliminate(a, p, reduced=True) == want_pivots
-    assert np.array_equal(a, want)
-    assert ff_rank(m, p) == len(want_pivots)
-    return want, want_pivots
-
-
-def assert_matches_oracle(m, p):
-    want, want_pivots = assert_echelon_matches_oracle(m, p)
+    assert exactlin._eliminate(a, p) == want_pivots
     basis = ff_kernel(m, p)
     old = kernel_basis(want, want_pivots, p)
     assert basis.dtype == old.dtype and basis.shape == old.shape
     assert basis.tobytes() == old.tobytes()
-    return len(want_pivots)
+    assert ff_rank(m, p) == len(want_pivots)
+    return a, want_pivots, old
+
+
+def assert_matches_oracle(m, p):
+    return len(assert_echelon_matches_oracle(m, p)[1])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -71,7 +73,7 @@ def assert_matches_oracle(m, p):
 def test_dense_tall_and_wide_match_oracle(path, width, p):
     rng = np.random.default_rng([width, p])
     for rows in (width // 4 + 1, width + 2):
-        assert_echelon_matches_oracle(rng.integers(0, p, (rows, width)), p)
+        assert_matches_oracle(rng.integers(0, p, (rows, width)), p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -171,20 +173,17 @@ def test_limb_product_exact_at_limb_count_boundaries(n):
 
 
 def assert_cup_matches_oracle(m, p):
-    # assert_matches_oracle, plus the probe's hyperplane: the kernel vector
-    # with free coordinates cs, solved on the non-reduced form
-    want, want_pivots = assert_echelon_matches_oracle(m, p)
-    basis = kernel_basis(want, want_pivots, p)
-    assert ff_kernel(m, p).tobytes() == basis.tobytes()
-    a = exactlin._as_matrix(m, p)
-    assert exactlin._eliminate(a, p, reduced=False) == want_pivots
+    # assert_matches_oracle, plus kernel vectors solved on the factored
+    # form: one column of free coordinates, as the probe's hyperplane, and three
+    a, pivots, basis = assert_echelon_matches_oracle(m, p)
     rng = np.random.default_rng([len(basis), p])
-    cs = rng.integers(0, p, (1, len(basis)))
-    h = exactlin._kernel_vector(a, want_pivots, tuple(cs[0].tolist()), p)
-    assert h.dtype == np.int64
-    assert h.tolist() == matmul_mod(cs, basis, p)[0].tolist()
-    assert not matmul_mod(m, h[:, None], p).any()
-    return len(want_pivots)
+    for n in (1, 3):
+        xf = rng.integers(0, p, (len(basis), n))
+        x = exactlin._kernel(a, pivots, xf, p)
+        assert x.dtype == np.int64
+        assert x.T.tolist() == matmul_mod(xf.T, basis, p).tolist()
+        assert not matmul_mod(m, x, p).any()
+    return len(pivots)
 
 
 def binary_terracini(m, k, p):

@@ -3,7 +3,7 @@ import pytest
 
 from contact_oracle import first_order_residuals
 from echelon_oracle import matmul_mod
-from segreid.bounds import NOTE_M6_K9
+from segreid.bounds import NOTE_M6_K9, SPECIAL_CELLS
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64
 from segreid.segre import ProductShape, random_point
 from segreid.tangency import (
@@ -197,6 +197,18 @@ def test_verdict_six_lines_k9_recorded_discrepancy():
     v = identifiability_verdict(s, 9, [_certified_result(s, 8)])
     assert v.status is VerdictStatus.UNDETERMINED
     assert NOTE_M6_K9 in v.notes
+
+
+def test_no_order_one_cell_above_a_special_cell():
+    # a top-down sweep carries a certificate at k' down to every k <= k',
+    # and identifiability_verdict raises when it reaches a recorded cell;
+    # so no recorded binary cell may lie below an order-one-applicable k'
+    tops = {}
+    for m, k in SPECIAL_CELLS:
+        s = ProductShape.binary(m)
+        tops[m] = max(kk for kk in range(1, 2**m) if order_one_applicable(s, kk))
+        assert tops[m] <= k
+    assert tops == {5: 4, 6: 8}
 
 
 def test_verdict_certified_at_own_k():
