@@ -21,39 +21,19 @@ from pathlib import Path
 
 import jsonschema
 
+from .exactlin import SplitMix64
 from .segre import COORDINATE_ORDER, ProductShape
 from .tangency import Verdict, VerdictStatus, identifiability_verdict
 from .terracini import SecantProbeResult, expected_dim
 
 SCHEMA_VERSION = 1
-GENERATOR_NAME = "splitmix64"
+GENERATOR_NAME = SplitMix64.name
 
 CERTIFICATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "secant identifiability probe certificate",
     "type": "object",
     "additionalProperties": False,
-    "required": [
-        "schema_version",
-        "shape",
-        "k",
-        "prime",
-        "seed",
-        "generator",
-        "trials",
-        "coordinate_order",
-        "expected_dim",
-        "observed_dim",
-        "defect",
-        "kernel_dim",
-        "hyperplane_coeffs",
-        "coranks",
-        "verdict",
-        "propagated_from_k",
-        "cited",
-        "notes",
-        "wall_time_s",
-    ],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "shape": {
@@ -86,6 +66,10 @@ CERTIFICATE_SCHEMA = {
         "wall_time_s": {"type": ["number", "null"], "minimum": 0},
     },
 }
+CERTIFICATE_SCHEMA["required"] = list(CERTIFICATE_SCHEMA["properties"])
+
+# The fields a certificate copies from its cell's probe record, and back.
+_PROBE_OUTCOMES = ("observed_dim", "kernel_dim", "hyperplane_coeffs", "coranks")
 
 
 @dataclass(frozen=True)
@@ -177,6 +161,10 @@ def certificate_from_verdict(
         pins = (probe.prime, probe.seed, probe.trials)
     prime, seed, trials = pins
     propagated = verdict.support_k if verdict.support_k != k else None
+    outcomes = {
+        name: None if probe is None else getattr(probe, name)
+        for name in (*_PROBE_OUTCOMES, "defect")
+    }
     return Certificate(
         shape=shape.factor_dims,
         k=k,
@@ -184,11 +172,7 @@ def certificate_from_verdict(
         seed=seed,
         trials=trials,
         expected_dim=expected_dim(shape, k),
-        observed_dim=None if probe is None else probe.observed_dim,
-        defect=None if probe is None else probe.defect,
-        kernel_dim=None if probe is None else probe.kernel_dim,
-        hyperplane_coeffs=None if probe is None else probe.hyperplane_coeffs,
-        coranks=None if probe is None else probe.coranks,
+        **outcomes,
         verdict=verdict.status.value,
         propagated_from_k=propagated,
         cited=verdict.cited,
@@ -220,11 +204,8 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
         probes.append(
             SecantProbeResult(
                 k=cert.k,
-                observed_dim=cert.observed_dim,
                 expected_dim=cert.expected_dim,
-                kernel_dim=cert.kernel_dim,
-                hyperplane_coeffs=cert.hyperplane_coeffs,
-                coranks=cert.coranks,
+                **{name: getattr(cert, name) for name in _PROBE_OUTCOMES},
                 **pins,
             )
         )

@@ -13,7 +13,9 @@ each validated against CERTIFICATE_SCHEMA before printing.  Exit codes:
 * 0  completed, no counter-evidence against generic identifiability
 * 1  completed, some cell ended in DefectCandidate or
      WeaklyDefectiveEvidence (or a reproduce check failed)
-* 2  bad command line (argparse)
+* 2  bad command line, found before any work: argparse, a --store
+     path that is not a directory, or a --csv path that cannot be
+     written (a directory, or in a directory that does not exist)
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .tangency import (
     order_one_applicable,
     weak_defectivity_probe,
 )
-from .terracini import defect_status, expected_dim, secant_dim_probe
+from .terracini import defect_status, secant_dim_probe
 
 ENV_STORE = "SEGREID_STORE"
 
@@ -73,11 +75,6 @@ def _emit(cert, store):
         write_certificate(cert, store)
 
 
-def _resolve_store(arg):
-    store = arg if arg is not None else os.environ.get(ENV_STORE)
-    return store if store else None
-
-
 def probe_cell(shape, k, trials, prime, seed):
     """One (prime, seed) cell: tangency probe when order-1 applies, else dims only."""
     t0 = time.perf_counter()
@@ -89,40 +86,32 @@ def probe_cell(shape, k, trials, prime, seed):
     return res, wall
 
 
-def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0, escalate=True):
-    """Probe one (shape, k) over the given primes, widening the grid on a defect.
+def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0):
+    """Probe one (shape, k) on each prime, widening the grid on a defect.
 
-    Returns (certificates, summary dict, exit code).  Escalation reruns the
-    cell on >= 3 primes x 3 seeds so defect_status can tell a stable defect
+    Returns (certificates, summary dict, exit code), one certificate per
+    (prime, seed) probed, each with its probe's wall time.  When a probe
+    falls short of the expected dimension, the cell is also probed on
+    seeds seed..seed+2 of the given primes, or of DEFAULT_PRIMES when
+    fewer than 3 are given, so defect_status can tell a stable defect
     from an unlucky sample.
     """
-    cells = [(prime, seed) for prime in primes]
-    results = {}
-    walls = {}
-    for cell in cells:
-        results[cell], walls[cell] = probe_cell(shape, k, trials, *cell)
-
-    if escalate and any(r.defect > 0 for r in results.values()):
+    runs = {(prime, seed): probe_cell(shape, k, trials, prime, seed) for prime in primes}
+    if any(res.defect > 0 for res, _ in runs.values()):
         grid_primes = primes if len(primes) >= 3 else DEFAULT_PRIMES
-        extra = [
-            (pr, s)
-            for pr in grid_primes
-            for s in (seed, seed + 1, seed + 2)
-            if (pr, s) not in results
-        ]
-        for cell in extra:
-            results[cell], walls[cell] = probe_cell(shape, k, trials, *cell)
+        for pr in grid_primes:
+            for s in (seed, seed + 1, seed + 2):
+                if (pr, s) not in runs:
+                    runs[pr, s] = probe_cell(shape, k, trials, pr, s)
 
     certs = [
         certificate_from_verdict(
-            identifiability_verdict(shape, k, [res]),
-            res,
-            wall_time_s=round(walls[cell], 6),
+            identifiability_verdict(shape, k, [res]), res, wall_time_s=round(wall, 6)
         )
-        for cell, res in results.items()
+        for res, wall in runs.values()
     ]
 
-    evidence = list(results.values())
+    evidence = [res for res, _ in runs.values()]
     aggregate = identifiability_verdict(shape, k, evidence)
     summary = {
         "type": "summary",
@@ -139,15 +128,12 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0, escalate=True):
 
 
 def sweep_ks(shape, max_k=None):
-    """All k >= 1 whose expected span falls short of the ambient space."""
-    ks = []
-    k = 1
-    while expected_dim(shape, k) < shape.ambient_dim:
-        ks.append(k)
-        k += 1
-    if max_k is not None:
-        ks = [k for k in ks if k <= max_k]
-    return ks
+    """All k >= 1 whose expected span falls short of the ambient space.
+
+    expected_dim(shape, k) < r exactly when (k + 1)(dim + 1) <= r.
+    """
+    top = shape.ambient_dim // (shape.dim + 1) - 1
+    return list(range(1, top + 1 if max_k is None else min(top, max_k) + 1))
 
 
 def _sweep_cell(cell):
@@ -257,9 +243,8 @@ def cmd_probe(args):
         primes=args.primes,
         seed=args.seed,
     )
-    store = _resolve_store(args.store)
     for cert in certs:
-        _emit(cert, store)
+        _emit(cert, args.store)
     print(json.dumps(summary, sort_keys=True))
     return code
 
@@ -273,9 +258,8 @@ def cmd_sweep(args):
         jobs=args.jobs,
         max_k=args.max_k,
     )
-    store = _resolve_store(args.store)
     for cert in certs:
-        _emit(cert, store)
+        _emit(cert, args.store)
     counter = sum(1 for c in certs if c.verdict in (s.value for s in _COUNTER_EVIDENCE))
     summary = {
         "type": "sweep_summary",
@@ -292,41 +276,30 @@ def cmd_sweep(args):
     return 1 if (counter or errors) else 0
 
 
+_SWEEP_COLUMNS = (
+    "m",
+    "k",
+    "prime",
+    "seed",
+    "expected_dim",
+    "observed_dim",
+    "defect",
+    "kernel_dim",
+    "certified_corank_zero",
+    "verdict",
+    "propagated_from_k",
+)
+
+
 def _write_sweep_csv(path, certs):
+    """One row per certificate: its fields by name, plus m and the corank-0 flag."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "m",
-                "k",
-                "prime",
-                "seed",
-                "expected_dim",
-                "observed_dim",
-                "defect",
-                "kernel_dim",
-                "certified_corank_zero",
-                "verdict",
-                "propagated_from_k",
-            ]
-        )
+        writer.writerow(_SWEEP_COLUMNS)
         for c in certs:
             certified = c.coranks is not None and all(x == 0 for x in c.coranks)
-            writer.writerow(
-                [
-                    len(c.shape),
-                    c.k,
-                    c.prime,
-                    c.seed,
-                    c.expected_dim,
-                    c.observed_dim,
-                    c.defect,
-                    c.kernel_dim,
-                    int(certified),
-                    c.verdict,
-                    c.propagated_from_k,
-                ]
-            )
+            row = {**c.to_dict(), "m": len(c.shape), "certified_corank_zero": int(certified)}
+            writer.writerow([row[name] for name in _SWEEP_COLUMNS])
 
 
 def _reproduce_m5k4(store):
@@ -348,9 +321,7 @@ def _reproduce_m5k4(store):
 def _reproduce_m6table(store):
     shape = ProductShape.binary(6)
     prime, seed, trials = DEFAULT_PRIMES[0], 0, 3
-    t0 = time.perf_counter()
-    res8 = weak_defectivity_probe(shape, 8, trials=trials, prime=prime, seed=seed)
-    wall = time.perf_counter() - t0
+    res8, wall = probe_cell(shape, 8, trials, prime, seed)
     certs = []
     for k in range(1, 10):
         verdict = identifiability_verdict(shape, k, [res8])
@@ -391,8 +362,7 @@ _REPRODUCE_CASES = {
 
 
 def cmd_reproduce(args):
-    store = _resolve_store(args.store)
-    ok, detail = _REPRODUCE_CASES[args.case](store)
+    ok, detail = _REPRODUCE_CASES[args.case](args.store)
     line = {"type": "reproduce", "case": args.case, "ok": ok}
     line.update(detail)
     print(json.dumps(line, sort_keys=True))
@@ -507,9 +477,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "store"):
-        store = _resolve_store(args.store)
-        if store is not None and os.path.exists(store) and not os.path.isdir(store):
-            parser.error("certificate store %r exists and is not a directory" % str(store))
+        store = args.store if args.store is not None else os.environ.get(ENV_STORE)
+        args.store = store or None
+        if store and os.path.exists(store) and not os.path.isdir(store):
+            parser.error("certificate store %r exists and is not a directory" % store)
+    if getattr(args, "csv", None) is not None:
+        folder = os.path.dirname(os.path.abspath(args.csv))
+        if os.path.isdir(args.csv) or not os.path.isdir(folder):
+            parser.error("argument --csv: cannot write a file at %r" % args.csv)
     return args.func(args)
 
 

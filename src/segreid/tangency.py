@@ -275,7 +275,6 @@ def weak_defectivity_probe(
     exp = expected_dim(shape, k)
     r = shape.ambient_dim
     best = -1
-    kernel_dim = None
     coeffs = None
     coranks = None
     for rng, pts, mat in _trials(shape, k, trials, prime, seed):
@@ -295,13 +294,10 @@ def weak_defectivity_probe(
         del mat
         trial_coranks = contact_coranks(shape, h, pts, prime)
         if coranks is None or all(c == 0 for c in trial_coranks):
-            kernel_dim = nullity
             coeffs = cs
             coranks = trial_coranks
         if all(c == 0 for c in trial_coranks):
             break
-    if coranks is None:
-        kernel_dim = r - best
     return SecantProbeResult(
         shape=shape,
         k=k,
@@ -310,7 +306,7 @@ def weak_defectivity_probe(
         seed=seed,
         observed_dim=best,
         expected_dim=exp,
-        kernel_dim=kernel_dim,
+        kernel_dim=r - best,
         hyperplane_coeffs=coeffs,
         coranks=coranks,
     )

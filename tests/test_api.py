@@ -1,10 +1,12 @@
-"""The public surface, and the names the benchmark's span recorder wraps.
+"""The public surface, the names the benchmark's span recorder wraps,
+and the package's module imports.
 
 ``bench/spans.py`` wraps functions by (module, attribute) from outside
 the package, so a name it lists must keep resolving even when it is not
 exported; deleting one would otherwise fail only the traced benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import segreid
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+PACKAGE = Path(segreid.__file__).resolve().parent
 
 PUBLIC = [
     "CERTIFICATE_SCHEMA",
@@ -82,3 +85,24 @@ def test_public_names_are_pinned_and_resolve():
     assert all(hasattr(segreid, name) for name in names)
     assert sorted(names) == PUBLIC
     assert len(PUBLIC) == 46
+
+
+def test_every_module_import_is_used():
+    """Each top-level import of a module is read in that module.
+
+    ``__init__.py`` is left out: it imports names to re-export them.
+    """
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s: %s" % (path.name, name) for name in bound if name not in read]
+    assert not unused

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 from segreid.certificates import (
     CERTIFICATE_SCHEMA,
+    Certificate,
     certificate_from_dict,
     certificate_from_verdict,
     validate_certificate_dict,
@@ -30,6 +32,13 @@ def weak_cert(m=5, k=4, seed=0, wall=None):
     res = weak_defectivity_probe(s, k, seed=seed)
     verdict = identifiability_verdict(s, k, [res])
     return certificate_from_verdict(verdict, res, wall_time_s=wall)
+
+
+def test_schema_keys_are_the_certificate_fields():
+    # certificate_from_dict passes a validated dict straight to Certificate(**d)
+    names = {f.name for f in dataclasses.fields(Certificate)}
+    assert set(CERTIFICATE_SCHEMA["properties"]) == names
+    assert CERTIFICATE_SCHEMA["required"] == list(CERTIFICATE_SCHEMA["properties"])
 
 
 def test_probe_certificate_validates():

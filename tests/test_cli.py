@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from segreid.certificates import certificate_from_dict, validate_certificate_dic
 from segreid.cli import ENV_STORE, derive_seed, main, sweep_ks
 from segreid.exactlin import DEFAULT_PRIMES
 from segreid.segre import ProductShape
+from segreid.terracini import expected_dim
 
 P1 = str(DEFAULT_PRIMES[0])
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +143,22 @@ def test_sweep_ks_subcritical_range():
     assert sweep_ks(ProductShape.binary(6)) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert sweep_ks(ProductShape.binary(6), max_k=3) == [1, 2, 3]
     assert sweep_ks(ProductShape.binary(2)) == []
+
+    # the closed form against the definition: every k >= 1 with expected_dim < r
+    shapes = [ProductShape.binary(m) for m in range(2, 15)] + [
+        ProductShape(dims)
+        for n in (2, 3, 4)
+        for dims in itertools.product(range(1, 5), repeat=n)
+    ]
+    for shape in shapes:
+        subcritical = list(
+            itertools.takewhile(
+                lambda k: expected_dim(shape, k) < shape.ambient_dim, itertools.count(1)
+            )
+        )
+        assert sweep_ks(shape) == subcritical
+        for max_k in (1, 2, 5):
+            assert sweep_ks(shape, max_k) == [k for k in subcritical if k <= max_k]
 
 
 def test_sweep_emits_sorted_valid_cells(capsys):
@@ -284,6 +302,8 @@ def test_bad_arguments_exit_2(argv, capsys):
         (["sweep", "-m", "5", "--max-k", "-3"], "--max-k"),
         (["probe", "--binary", "3", "-k", "1", "--primes", "65521,65521"], "--primes"),
         (["sweep", "-m", "4", "--primes", "65521,65521"], "--primes"),
+        (["sweep", "-m", "4..5", "--csv", "no-such-directory/t.csv"], "--csv"),
+        (["sweep", "-m", "4..5", "--csv", "."], "--csv"),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, capsys):
