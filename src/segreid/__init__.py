@@ -39,7 +39,6 @@ from .exactlin import (
     check_prime,
     ff_kernel,
     ff_rank,
-    random_unit_vector,
 )
 from .segre import (
     COORDINATE_ORDER,
@@ -104,7 +103,6 @@ __all__ = [
     "product_bound_holds",
     "product_bound_max_k",
     "random_point",
-    "random_unit_vector",
     "regime_report",
     "secant_dim_probe",
     "segre_embed",

@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import jsonschema
@@ -112,9 +112,6 @@ class Certificate:
         d.pop("wall_time_s")
         payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def without_wall_time(self) -> "Certificate":
-        return replace(self, wall_time_s=None)
 
 
 @functools.cache

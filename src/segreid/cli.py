@@ -13,9 +13,10 @@ each validated against CERTIFICATE_SCHEMA before printing.  Exit codes:
 * 0  completed, no counter-evidence against generic identifiability
 * 1  completed, some cell ended in DefectCandidate or
      WeaklyDefectiveEvidence (or a reproduce check failed)
-* 2  bad command line, found before any work: argparse, a --store
-     path that is not a directory, or a --csv path that cannot be
-     written (a directory, or in a directory that does not exist)
+* 2  bad command line, found by argparse before any work, including a
+     --store path that is not a directory or lies below a regular file,
+     and a --csv path that cannot be written (a directory, or in a
+     directory that does not exist)
 """
 
 from __future__ import annotations
@@ -232,12 +233,8 @@ def cmd_bounds(args):
 
 
 def cmd_probe(args):
-    if args.binary is not None:
-        shape = ProductShape.binary(args.binary)
-    else:
-        shape = ProductShape(args.shape)
     certs, summary, code = run_probe(
-        shape,
+        args.shape,
         args.k,
         trials=args.trials,
         primes=args.primes,
@@ -398,26 +395,46 @@ def _parse_m_range(text):
     return rng
 
 
-def _parse_shape(text):
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected N1,N2,..., got %r" % text)
-    if len(dims) < 2 or any(n < 1 for n in dims):
-        raise argparse.ArgumentTypeError("need >= 2 factors, all >= 1")
-    return dims
+def _checked(parse):
+    """argparse type from ``parse``: its ValueError becomes the usage error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
+@_checked
 def _parse_primes(text):
-    try:
-        primes = tuple(int(part) for part in text.split(","))
-        for i, p in enumerate(primes):
-            check_prime(p)
-            if p in primes[:i]:
-                raise ValueError(f"prime {p} given twice")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    primes = tuple(int(part) for part in text.split(","))
+    for i, p in enumerate(primes):
+        check_prime(p)
+        if p in primes[:i]:
+            raise ValueError(f"prime {p} given twice")
     return primes
+
+
+@_checked
+def _store_dir(text):
+    """A directory, or a path to one that can be made: "" means no store."""
+    if not text:
+        return None
+    folder = os.path.abspath(text)
+    while not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    if not os.path.isdir(folder):
+        raise ValueError("certificate store %r: %r is not a directory" % (text, folder))
+    return text
+
+
+@_checked
+def _csv_path(text):
+    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise ValueError("cannot write a file at %r" % text)
+    return text
 
 
 def build_parser():
@@ -427,6 +444,8 @@ def build_parser():
         "generic identifiability of embedded products of projective spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default through its type, so $SEGREID_STORE is checked too
+    store = os.environ.get(ENV_STORE, "")
 
     b = sub.add_parser("bounds", help="closed-form k ranges for binary products")
     b.add_argument("-m", "--factors", required=True, type=_parse_m_range,
@@ -436,9 +455,10 @@ def build_parser():
 
     pr = sub.add_parser("probe", help="probe one (shape, k) cell")
     grp = pr.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--binary", type=_int_at_least(2), metavar="M",
-                     help="product of M projective lines")
-    grp.add_argument("--shape", type=_parse_shape, metavar="N1,N2,...",
+    grp.add_argument("--binary", type=_checked(lambda t: ProductShape.binary(int(t))),
+                     dest="shape", metavar="M", help="product of M projective lines")
+    grp.add_argument("--shape", metavar="N1,N2,...",
+                     type=_checked(lambda t: ProductShape(tuple(map(int, t.split(","))))),
                      help="factor dimensions, e.g. 1,1,2")
     pr.add_argument("-k", type=_int_at_least(1), required=True,
                     help="number of secant points is k+1")
@@ -446,7 +466,7 @@ def build_parser():
     pr.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
                     metavar="P1,P2,...")
     pr.add_argument("--seed", type=_int_at_least(0), default=0)
-    pr.add_argument("--store", default=None,
+    pr.add_argument("--store", type=_store_dir, default=store,
                     help="directory for cert-<digest>.json files "
                     "(default: $%s if set)" % ENV_STORE)
     pr.set_defaults(func=cmd_probe)
@@ -461,30 +481,20 @@ def build_parser():
                     "seeds are derived by hashing (shape, k, prime) with it")
     sw.add_argument("--jobs", type=_int_at_least(1), default=1)
     sw.add_argument("--max-k", type=_int_at_least(1), default=None)
-    sw.add_argument("--csv", default=None, metavar="PATH",
+    sw.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
                     help="also write a flat summary table")
-    sw.add_argument("--store", default=None)
+    sw.add_argument("--store", type=_store_dir, default=store)
     sw.set_defaults(func=cmd_sweep)
 
     rp = sub.add_parser("reproduce", help="rerun a pinned reference computation")
     rp.add_argument("case", choices=sorted(_REPRODUCE_CASES))
-    rp.add_argument("--store", default=None)
+    rp.add_argument("--store", type=_store_dir, default=store)
     rp.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "store"):
-        store = args.store if args.store is not None else os.environ.get(ENV_STORE)
-        args.store = store or None
-        if store and os.path.exists(store) and not os.path.isdir(store):
-            parser.error("certificate store %r exists and is not a directory" % store)
-    if getattr(args, "csv", None) is not None:
-        folder = os.path.dirname(os.path.abspath(args.csv))
-        if os.path.isdir(args.csv) or not os.path.isdir(folder):
-            parser.error("argument --csv: cannot write a file at %r" % args.csv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

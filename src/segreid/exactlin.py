@@ -110,18 +110,6 @@ class SplitMix64:
         return self.residue(p - 1) + 1
 
 
-def random_unit_vector(rng: SplitMix64, length: int, p: int) -> np.ndarray:
-    """Vector with every coordinate uniform in F_p minus zero.
-
-    Nonzero coordinates keep every affine chart of a product of
-    projective spaces valid at the sampled point, which the tangent
-    frame constructions rely on.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return np.array([rng.nonzero_residue(p) for _ in range(length)], dtype=np.int64)
-
-
 def _as_matrix(mat, p: int) -> np.ndarray:
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
     return a % p

@@ -8,10 +8,11 @@ j_1 * S_1 + ... + j_m * S_m with strides S_i = prod_{l > i} (n_l + 1).
 This coordinate order is fixed once and recorded in every certificate
 so that hyperplane vectors from different runs are comparable.
 
-Tangent data is the affine tangent frame (``_frames``): the embedded
-point plus the partial derivatives of the affine parametrization that
-freezes coordinate 0 of every factor, valid where those coordinates
-are nonzero.  The partials are the single-slot substitutions
+Points live here: ``random_point`` draws them, and ``coerce_points``
+keeps them in the package's one affine chart, the one that freezes
+coordinate 0 of every factor.  Tangent data is the affine tangent
+frame (``_frames``): the embedded point plus the partials of that
+chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
 1 + sum(n_i) rows; the Terracini matrices stack them.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import SplitMix64, random_unit_vector
+from .exactlin import SplitMix64
 
 # One name for the Kronecker coordinate convention, embedded in certificates.
 COORDINATE_ORDER = "lex-leftmost-slowest"
@@ -91,17 +92,33 @@ def coerce_point(shape: ProductShape, point, p: int) -> tuple[np.ndarray, ...]:
 
 
 def coerce_points(shape: ProductShape, points, p: int) -> tuple[np.ndarray, ...]:
-    """``coerce_point`` on each point, stacked per factor: (N, n_i + 1) arrays."""
-    qs = [coerce_point(shape, point, p) for point in points]
-    return tuple(
-        np.array([q[i] for q in qs], dtype=np.int64).reshape(len(qs), size)
+    """``coerce_point`` on each point, stacked per factor: (N, n_i + 1) arrays.
+
+    Every point must lie in the chart: raises ValueError naming the
+    first point, and its first factor, whose coordinate 0 is 0 mod p.
+    """
+    each = [coerce_point(shape, point, p) for point in points]
+    qs = tuple(
+        np.array([q[i] for q in each], dtype=np.int64).reshape(len(each), size)
         for i, size in enumerate(shape.coord_sizes)
     )
+    bad = np.argwhere(np.stack([f[:, 0] == 0 for f in qs], axis=1))
+    if bad.size:
+        a, i = bad[0]
+        raise ValueError(
+            f"point {a}: factor {i} has first coordinate 0 mod {p}:"
+            " chart invalid at this point"
+        )
+    return qs
 
 
 def random_point(shape: ProductShape, rng: SplitMix64, p: int) -> tuple[np.ndarray, ...]:
-    """Point with every coordinate nonzero, so every chart is valid there."""
-    return tuple(random_unit_vector(rng, n + 1, p) for n in shape.factor_dims)
+    """Point in the chart: every coordinate uniform in F_p minus zero,
+    drawn factor by factor, coordinate by coordinate."""
+    return tuple(
+        np.array([rng.nonzero_residue(p) for _ in range(n + 1)], dtype=np.int64)
+        for n in shape.factor_dims
+    )
 
 
 def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
@@ -116,13 +133,14 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
 def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     """Per point: the embedded point, then each substitution with j >= 1.
 
-    ``qs`` holds each factor's coordinates, (N, n_i + 1).  One pass over
-    the factors, last to first, in place in the returned (N, rows, r + 1)
-    array: step i starts factor i's rows as e_j times the point's product
-    over the later factors, then multiplies the point's and the later
-    factors' rows by q_i.  Nothing else is allocated: freed large
-    temporaries raise malloc's mmap threshold, and the peak memory of
-    the elimination that follows with it.
+    ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
+    (``coerce_points``).  One pass over the factors, last to first, in
+    place in the returned (N, rows, r + 1) array: step i starts factor
+    i's rows as e_j times the point's product over the later factors,
+    then multiplies the point's and the later factors' rows by q_i.
+    Nothing else is allocated: freed large temporaries raise malloc's
+    mmap threshold, and the peak memory of the elimination that follows
+    with it.
     """
     n = len(qs[0])
     sizes = [f.shape[1] for f in qs]

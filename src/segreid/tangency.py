@@ -161,24 +161,10 @@ def _residuals(hess: np.ndarray, qs, p: int) -> np.ndarray:
     return res
 
 
-def _chart_columns(shape: ProductShape, qs, chart, p: int) -> np.ndarray:
-    """Hessian columns of the chart's variables: all but one frozen slot per factor."""
-    if chart is None:
-        chart = (0,) * shape.num_factors
-    chart = tuple(int(c) for c in chart)
-    if len(chart) != shape.num_factors:
-        raise ValueError("chart needs one frozen slot per factor")
-    for i, (c, n) in enumerate(zip(chart, shape.factor_dims)):
-        if not 0 <= c <= n:
-            raise ValueError(f"chart slot {c} out of range for factor {i}")
-        bad = np.flatnonzero(qs[i][:, c] == 0)
-        if bad.size:
-            raise ValueError(
-                f"point {bad[0]}: factor {i} has coordinate {c} equal to 0 mod {p}:"
-                " chart invalid at this point"
-            )
+def _chart_columns(shape: ProductShape) -> np.ndarray:
+    """Hessian columns of the chart's variables: all but slot 0 of each factor."""
     at = np.cumsum((0,) + shape.coord_sizes)
-    return np.delete(np.arange(at[-1]), at[:-1] + chart)
+    return np.delete(np.arange(at[-1]), at[:-1])
 
 
 # Not exported; kept because bench/spans.py wraps these three by name.
@@ -193,29 +179,28 @@ def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
     return _residuals(_hessians(shape, h, qs, p), qs, p)[0]
 
 
-def contact_jacobian(shape: ProductShape, h, point, p: int, chart=None) -> np.ndarray:
-    """Derivative of the residual vector in an affine chart.
+def contact_jacobian(shape: ProductShape, h, point, p: int) -> np.ndarray:
+    """Derivative of the residual vector in the chart of ``coerce_points``.
 
-    The chart freezes one coordinate per factor (slot 0 by default),
-    leaving sum(n_i) variables.  Row (i, j) depends multilinearly on the
-    factors other than i, so its derivative along slot (l, c) with
-    l != i is h contracted with e_j in slot i and e_c in slot l, and the
-    factor-i columns of the factor-i rows are zero.  Shape
+    The chart freezes coordinate 0 of every factor, leaving sum(n_i)
+    variables.  Row (i, j) depends multilinearly on the factors other
+    than i, so its derivative along slot (l, c) with l != i is h
+    contracted with e_j in slot i and e_c in slot l, and the factor-i
+    columns of the factor-i rows are zero.  Shape
     (sum(n_i + 1), sum(n_i)).
     """
     qs = coerce_points(shape, [point], p)
-    cols = _chart_columns(shape, qs, chart, p)
-    return _hessians(shape, h, qs, p)[0][:, cols]
+    return _hessians(shape, h, qs, p)[0][:, _chart_columns(shape)]
 
 
-def contact_coranks(shape: ProductShape, h, points, p: int, chart=None) -> tuple[int, ...]:
+def contact_coranks(shape: ProductShape, h, points, p: int) -> tuple[int, ...]:
     """Contact coranks at every point, from one batched pass.
 
     The Hessians of all points are contracted together; each point's
     residuals and chart Jacobian are read off its Hessian, and each
     Jacobian is ranked on its own.  Raises ValueError naming the first
-    point whose residuals do not vanish, or whose chart coordinate is
-    0 mod p.
+    point outside the chart, or else the first point whose residuals
+    do not vanish.
     """
     qs = coerce_points(shape, points, p)
     hess = _hessians(shape, h, qs, p)
@@ -224,11 +209,11 @@ def contact_coranks(shape: ProductShape, h, points, p: int, chart=None) -> tuple
         raise ValueError(
             f"hyperplane is not tangent at point {bad[0]}: residuals do not vanish"
         )
-    cols = _chart_columns(shape, qs, chart, p)
+    cols = _chart_columns(shape)
     return tuple(shape.dim - ff_rank(hq[:, cols], p) for hq in hess)
 
 
-def contact_corank(shape: ProductShape, h, point, p: int, chart=None) -> int:
+def contact_corank(shape: ProductShape, h, point, p: int) -> int:
     """Zariski tangent dimension of the contact locus at a contact point.
 
     dim X - rank of the tangency Jacobian.  Requires the residuals to
@@ -236,9 +221,10 @@ def contact_corank(shape: ProductShape, h, point, p: int, chart=None) -> int:
     locus and the number would be meaningless): raises ValueError if
     they do not.  The value does not depend on the chart: the frozen
     columns are combinations of the kept ones because the per-factor
-    scaling directions annihilate the Jacobian at contact points.
+    scaling directions annihilate the Jacobian at contact points.  So
+    the one chart ``coerce_points`` admits is enough.
     """
-    return contact_coranks(shape, h, [point], p, chart)[0]
+    return contact_coranks(shape, h, [point], p)[0]
 
 
 def order_one_applicable(shape: ProductShape, k: int) -> bool:

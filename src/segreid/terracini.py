@@ -36,19 +36,11 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
 
     (k+1) * (1 + sum n_i) rows by r + 1 columns for k+1 points.  Its
     rank minus one is the dimension of the span of the tangent spaces.
-    Each point must have nonzero first coordinates (points from
-    ``random_point`` are nonzero everywhere).
+    ``coerce_points`` rejects a point outside the chart.
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    qs = coerce_points(shape, points, p)
-    for a in range(len(qs[0])):
-        for i, f in enumerate(qs):
-            if f[a, 0] == 0:
-                raise ValueError(
-                    f"factor {i} has first coordinate 0 mod {p}: chart invalid at this point"
-                )
-    return _frames(qs, p).reshape(-1, shape.ambient_dim + 1)
+    return _frames(coerce_points(shape, points, p), p).reshape(-1, shape.ambient_dim + 1)
 
 
 def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):

@@ -9,6 +9,7 @@ exported; deleting one would otherwise fail only the traced benchmark.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import segreid
@@ -51,7 +52,6 @@ PUBLIC = [
     "product_bound_holds",
     "product_bound_max_k",
     "random_point",
-    "random_unit_vector",
     "regime_report",
     "secant_dim_probe",
     "segre_embed",
@@ -64,6 +64,13 @@ PUBLIC = [
     "weak_defectivity_probe",
     "write_certificate",
 ]
+
+# Every defaulted parameter of an exported function: a new knob changes this.
+DEFAULTED = {
+    "certificate_from_verdict": ("probe", "pins", "wall_time_s"),
+    "secant_dim_probe": ("trials", "prime", "seed"),
+    "weak_defectivity_probe": ("trials", "prime", "seed"),
+}
 
 
 def test_every_wrapped_name_resolves():
@@ -84,7 +91,20 @@ def test_public_names_are_pinned_and_resolve():
     assert len(names) == len(set(names))
     assert all(hasattr(segreid, name) for name in names)
     assert sorted(names) == PUBLIC
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {}
+    for name in segreid.__all__:
+        obj = getattr(segreid, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            defaulted = tuple(q.name for q in params if q.default is not q.empty)
+            if defaulted:
+                found[name] = defaulted
+    assert found == DEFAULTED
+    assert sum(map(len, DEFAULTED.values())) == 9
 
 
 def test_every_module_import_is_used():

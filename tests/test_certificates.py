@@ -121,7 +121,7 @@ def test_digest_ignores_wall_time_only():
     b = weak_cert(wall=9.9)
     assert a.json_line() != b.json_line()
     assert a.digest() == b.digest()
-    assert a.without_wall_time() == b.without_wall_time()
+    assert dataclasses.replace(a, wall_time_s=None) == dataclasses.replace(b, wall_time_s=None)
     c = weak_cert(seed=1, wall=0.1)
     assert c.digest() != a.digest()
 

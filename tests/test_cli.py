@@ -128,6 +128,20 @@ def test_store_path_that_is_a_file_is_rejected(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_store_below_a_regular_file_exits_2_before_any_work(tmp_path, capsys):
+    clash = tmp_path / "occupied"
+    clash.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--binary", "3", "-k", "1", "--primes", P1,
+              "--store", str(clash / "sub")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: segreid probe")
+    assert "argument --store" in captured.err
+    assert sorted(tmp_path.iterdir()) == [clash]
+
+
 def test_derive_seed_is_stable_and_cell_specific():
     s = ProductShape.binary(6)
     a = derive_seed(0, s, 3, DEFAULT_PRIMES[0])
@@ -313,6 +327,7 @@ def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, caps
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("usage: segreid %s " % argv[0])
     assert "argument %s" % option in captured.err
     assert not store.exists()
 

@@ -28,10 +28,12 @@ def same(a, b):
 
 
 def batch(s, h, pts, p, chart):
-    """Residuals and Jacobians of every point, from one pass."""
+    """Residuals, and Jacobians in the chart freezing slot chart[i] of
+    factor i, of every point from one pass."""
     qs = coerce_points(s, pts, p)
     hess = tangency._hessians(s, h, qs, p)
-    cols = tangency._chart_columns(s, qs, chart, p)
+    at = np.cumsum((0,) + s.coord_sizes)
+    cols = np.delete(np.arange(at[-1]), at[:-1] + np.array(chart))
     return tangency._residuals(hess, qs, p), hess[:, :, cols]
 
 
@@ -124,10 +126,11 @@ def test_batch_names_the_stranger_point():
 
 def test_batch_names_the_point_outside_its_chart():
     p = PRIMES[-1]
-    s = ProductShape((1,) * 5)
-    rng = SplitMix64(8)
-    pts = [random_point(s, rng, p) for _ in range(4)]
-    pts[2] = (np.array([pts[2][0][0], 0]),) + pts[2][1:]
-    h = ff_kernel(terracini_matrix(s, pts, p), p)[0]
-    with pytest.raises(ValueError, match="point 2: factor 0 has coordinate 1"):
-        contact_coranks(s, h, pts, p, chart=(1, 0, 0, 0, 0))
+    s, pts, h = contact_case((1,) * 5, p)
+    q = pts[0]
+    pts = pts + [q[:2] + (np.array([0, q[2][1]]),) + q[3:]]
+    message = f"point 3: factor 2 has first coordinate 0 mod {p}: chart invalid at this point"
+    with pytest.raises(ValueError, match=message):
+        contact_coranks(s, h, pts, p)
+    with pytest.raises(ValueError, match=message):
+        terracini_matrix(s, pts, p)

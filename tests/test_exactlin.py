@@ -11,7 +11,6 @@ from segreid.exactlin import (
     check_prime,
     ff_kernel,
     ff_rank,
-    random_unit_vector,
 )
 
 P = DEFAULT_PRIMES[0]
@@ -74,19 +73,6 @@ def test_residue_ranges():
         assert 0 <= rng.residue(97) < 97
     for _ in range(500):
         assert 1 <= rng.nonzero_residue(97) < 97
-
-
-def test_random_unit_vector_all_nonzero():
-    rng = SplitMix64(11)
-    for p in DEFAULT_PRIMES:
-        v = random_unit_vector(rng, 40, p)
-        assert v.dtype == np.int64
-        assert ((1 <= v) & (v < p)).all()
-
-
-def test_random_unit_vector_rejects_empty():
-    with pytest.raises(ValueError):
-        random_unit_vector(SplitMix64(0), 0, P)
 
 
 def test_check_prime_accepts_defaults_and_small():

@@ -3,7 +3,7 @@ import pytest
 
 from contact_oracle import tangent_frame
 from echelon_oracle import matmul_mod
-from segreid.exactlin import SplitMix64, ff_rank
+from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
 from segreid.segre import (
     COORDINATE_ORDER,
     ProductShape,
@@ -98,6 +98,19 @@ def test_random_point_nonzero_and_deterministic():
     for fa, fb in zip(a, b):
         assert (fa == fb).all()
         assert ((1 <= fa) & (fa < P)).all()
+
+
+def test_random_point_all_nonzero():
+    # one nonzero_residue per coordinate, factor by factor
+    s = ProductShape((3, 9, 26))
+    rng, twin = SplitMix64(11), SplitMix64(11)
+    for p in DEFAULT_PRIMES:
+        q = random_point(s, rng, p)
+        for f in q:
+            assert f.dtype == np.int64
+            assert ((1 <= f) & (f < p)).all()
+        want = [twin.nonzero_residue(p) for _ in range(sum(s.coord_sizes))]
+        assert np.concatenate(q).tolist() == want
 
 
 def test_tangent_frame_rows_and_rank():
