@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -343,3 +344,56 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,8,4,3,5,")
+
+
+PINNED_OPTIONS = {
+    "bounds": [
+        (("--format",), "format", "'csv'", False, None, ("csv", "json")),
+        (("-m", "--factors"), "factors", "None", True, "A..B", None),
+    ],
+    "probe": [
+        (("--binary",), "shape", "None", False, "M", None),
+        (("--primes",), "primes", repr(DEFAULT_PRIMES), False, "P1,P2,...", None),
+        (("--seed",), "seed", "0", False, None, None),
+        (("--shape",), "shape", "None", False, "N1,N2,...", None),
+        (("--store",), "store", "''", False, None, None),
+        (("--trials",), "trials", "3", False, None, None),
+        (("-k",), "k", "None", True, None, None),
+    ],
+    "sweep": [
+        (("--csv",), "csv", "None", False, "PATH", None),
+        (("--jobs",), "jobs", "1", False, None, None),
+        (("--max-k",), "max_k", "None", False, None, None),
+        (("--primes",), "primes", repr(DEFAULT_PRIMES), False, "P1,P2,...", None),
+        (("--seed",), "seed", "0", False, None, None),
+        (("--store",), "store", "''", False, None, None),
+        (("--trials",), "trials", "3", False, None, None),
+        (("-m", "--factors"), "factors", "None", True, "A..B", None),
+    ],
+    "reproduce": [
+        ((), "case", "None", True, None, ("bounds-table", "m5k4", "m6table")),
+        (("--store",), "store", "''", False, None, None),
+    ],
+}
+
+
+def test_subcommand_options_are_pinned(monkeypatch):
+    # a new CLI option, or a changed default, metavar or choice, edits this table
+    monkeypatch.delenv(ENV_STORE, raising=False)
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {}
+    for name, sub in commands.choices.items():
+        got[name] = sorted(
+            (
+                tuple(a.option_strings),
+                a.dest,
+                repr(a.default),
+                a.required,
+                a.metavar,
+                None if a.choices is None else tuple(a.choices),
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        )
+    assert got == PINNED_OPTIONS
