@@ -366,35 +366,6 @@ def cmd_reproduce(args):
     return 0 if ok else 1
 
 
-def _int_at_least(low):
-    """argparse type: an integer no smaller than ``low``."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-        if value < low:
-            raise argparse.ArgumentTypeError("need >= %d, got %d" % (low, value))
-        return value
-
-    return parse
-
-
-def _parse_m_range(text):
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            rng = (int(lo), int(hi))
-        else:
-            rng = (int(text), int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected M or A..B, got %r" % text)
-    if rng[0] < 2 or rng[1] < rng[0]:
-        raise argparse.ArgumentTypeError("need 2 <= A <= B, got %r" % text)
-    return rng
-
-
 def _checked(parse):
     """argparse type from ``parse``: its ValueError becomes the usage error."""
 
@@ -405,6 +376,28 @@ def _checked(parse):
             raise argparse.ArgumentTypeError(str(exc))
 
     return convert
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    @_checked
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError("need >= %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+@_checked
+def _parse_m_range(text):
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    rng = (int(lo), int(hi))
+    if rng[0] < 2 or rng[1] < rng[0]:
+        raise ValueError("need 2 <= A <= B, got %r" % text)
+    return rng
 
 
 @_checked
@@ -438,22 +431,39 @@ def _csv_path(text):
 
 
 def build_parser():
+    # Each option is declared once, on a parent parser that every
+    # subcommand taking it inherits.
+    factors = argparse.ArgumentParser(add_help=False)
+    factors.add_argument("-m", "--factors", required=True, type=_parse_m_range,
+                         metavar="A..B", help="range of factor counts, e.g. 6..12")
+    # the pins that, with shape and k, fix a certificate
+    pins = argparse.ArgumentParser(add_help=False)
+    pins.add_argument("--trials", type=_int_at_least(1), default=3,
+                      help="most random point tuples a probe draws")
+    pins.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
+                      metavar="P1,P2,...", help="primes below 2**31 to probe on "
+                      "(default: the three largest)")
+    pins.add_argument("--seed", type=_int_at_least(0), default=0, help="probe seed; a "
+                      "sweep derives each cell's seed by hashing (shape, k, prime) with it")
+    store = argparse.ArgumentParser(add_help=False)
+    # argparse runs a string default through its type, so $SEGREID_STORE is checked too
+    store.add_argument("--store", type=_store_dir, default=os.environ.get(ENV_STORE, ""),
+                       help="directory for cert-<digest>.json files "
+                       "(default: $%s if set)" % ENV_STORE)
+
     parser = argparse.ArgumentParser(
         prog="segreid",
         description="Exact prime-field probes for secant dimensions and "
         "generic identifiability of embedded products of projective spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse runs a string default through its type, so $SEGREID_STORE is checked too
-    store = os.environ.get(ENV_STORE, "")
 
-    b = sub.add_parser("bounds", help="closed-form k ranges for binary products")
-    b.add_argument("-m", "--factors", required=True, type=_parse_m_range,
-                   metavar="A..B", help="range of factor counts, e.g. 6..12")
+    b = sub.add_parser("bounds", parents=[factors],
+                       help="closed-form k ranges for binary products")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.set_defaults(func=cmd_bounds)
 
-    pr = sub.add_parser("probe", help="probe one (shape, k) cell")
+    pr = sub.add_parser("probe", parents=[pins, store], help="probe one (shape, k) cell")
     grp = pr.add_mutually_exclusive_group(required=True)
     grp.add_argument("--binary", type=_checked(lambda t: ProductShape.binary(int(t))),
                      dest="shape", metavar="M", help="product of M projective lines")
@@ -462,33 +472,19 @@ def build_parser():
                      help="factor dimensions, e.g. 1,1,2")
     pr.add_argument("-k", type=_int_at_least(1), required=True,
                     help="number of secant points is k+1")
-    pr.add_argument("--trials", type=_int_at_least(1), default=3)
-    pr.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
-                    metavar="P1,P2,...")
-    pr.add_argument("--seed", type=_int_at_least(0), default=0)
-    pr.add_argument("--store", type=_store_dir, default=store,
-                    help="directory for cert-<digest>.json files "
-                    "(default: $%s if set)" % ENV_STORE)
     pr.set_defaults(func=cmd_probe)
 
-    sw = sub.add_parser("sweep", help="tabulate verdicts for binary products")
-    sw.add_argument("-m", "--factors", required=True, type=_parse_m_range,
-                    metavar="A..B")
-    sw.add_argument("--trials", type=_int_at_least(1), default=3)
-    sw.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
-                    metavar="P1,P2,...")
-    sw.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed; per-cell "
-                    "seeds are derived by hashing (shape, k, prime) with it")
+    sw = sub.add_parser("sweep", parents=[factors, pins, store],
+                        help="tabulate verdicts for binary products")
     sw.add_argument("--jobs", type=_int_at_least(1), default=1)
     sw.add_argument("--max-k", type=_int_at_least(1), default=None)
     sw.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
                     help="also write a flat summary table")
-    sw.add_argument("--store", type=_store_dir, default=store)
     sw.set_defaults(func=cmd_sweep)
 
-    rp = sub.add_parser("reproduce", help="rerun a pinned reference computation")
+    rp = sub.add_parser("reproduce", parents=[store],
+                        help="rerun a pinned reference computation")
     rp.add_argument("case", choices=sorted(_REPRODUCE_CASES))
-    rp.add_argument("--store", type=_store_dir, default=store)
     rp.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -19,9 +19,9 @@ factored by the pivot loop alone.  Kernel vectors, one or a whole
 basis, come from one block back-substitution on the factored form
 (``_kernel``).  The products run on float64 BLAS, one per limb of the
 left factor (``_matmul_mod``): every limb sum stays below 2**53, where
-float64 is exact, and the limbs are recombined in int64 below 2**55,
-so the results do not depend on the summation order, the thread count
-or the BLAS build.
+float64 is exact, and the limbs are recombined in int64 below
+2**54 + 2**31, so the results do not depend on the summation order,
+the thread count or the BLAS build.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and a kernel vector is fixed by
@@ -34,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 # The three largest primes below 2**31.  Results certified at one prime
-# are cross-checked at the others; see DEFAULT description in the CLI.
+# are cross-checked at the others.  They are the CLI's --primes default,
+# and run_probe widens a defect to them when given fewer than 3 primes.
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 
 _U64 = (1 << 64) - 1
@@ -131,7 +132,7 @@ _SLAB = 128
 _MAX_INNER = 1 << 20
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, minus=None) -> np.ndarray:
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
     """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
     For inner dimension n, ``x`` is split into limbs of
@@ -140,14 +141,14 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, minus=None) -> np.ndarray:
     in any order.  Horner's rule from the top limb down recombines them
     in int64, ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``,
     reduced once per limb.  Inner dimensions up to 64 take 2 limbs, up
-    to 2048 take 3.  With ``minus``, residues of the result's shape, the
-    result is ``(minus - x @ y) mod p`` at no extra reduction: the last
-    Horner step forms ``M - (acc * 2**b + part) + minus``, where
-    ``M = p * 2**(55 - bitlen(p))`` lies in ``[2**54, 2**55)``, so the
-    value lies in ``(0, 2**55 + 2**31)``; np.remainder takes nonnegative
-    int64 about twice as fast as negative.  The limb and product
-    temporaries are allocated once per call and reused.  Raises
-    ValueError above ``_MAX_INNER``.
+    to 2048 take 3.  With ``plus``, residues of the result's shape, the
+    result is ``(plus + x @ y) mod p`` at no extra reduction: the last
+    Horner step adds ``plus``, so the value stays below
+    ``2**54 + 2**31``.  Every value reduced is nonnegative, which keeps
+    np.remainder fast: on int64 it takes about the same time on
+    nonnegative and on all-negative input, and nearly three times as
+    long on mixed signs.  The limb and product temporaries are allocated
+    once per call and reused.  Raises ValueError above ``_MAX_INNER``.
     """
     n = x.shape[1]
     if n > _MAX_INNER:
@@ -173,9 +174,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, minus=None) -> np.ndarray:
             ipart[...] = part
             np.left_shift(acc, b, out=acc)
             acc += ipart
-        if shift == 0 and minus is not None:
-            np.subtract(p << (55 - p.bit_length()), acc, out=acc)
-            acc += minus
+        if shift == 0 and plus is not None:
+            acc += plus
         np.remainder(acc, p, out=acc)
     return acc
 
@@ -246,7 +246,8 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) ->
     L11 is the pivot rows' lower triangle in the pivot columns (its
     diagonal the pivots) and L21 the multipliers below it.  Slab by
     slab, the pivot rows become ``U12 = L11^-1 A12`` and the rows below
-    ``A22 - L21 U12``.
+    ``A22 - L21 U12``, which is ``A22 + (-L21) U12``: L21, a copy since
+    ``piv`` is a list, is negated in place once.
     """
     r1 = r0 + len(piv)
     linv = _lower_inverse(a[r0:r1, piv], p)
@@ -256,10 +257,11 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) ->
     if hit.size < len(l21):
         # rows without a multiplier keep their entries
         l21, below = l21[hit], r1 + hit
+    np.subtract(p, l21, out=l21, where=l21 != 0)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
         a[r0:r1, s] = _matmul_mod(linv, a[r0:r1, s], p)
-        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, minus=a[below, s])
+        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s])
 
 
 def _blocks(pivots: list[int], cols: int):
@@ -327,7 +329,7 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     for lo, hi, c0 in _blocks(pivots, cols):
         q = pivots[lo:hi]
         t = _matmul_mod(a[lo:hi, c0:], x[c0:], p)
-        x[q] = -_matmul_mod(_unit_upper_inverse(a[lo:hi, q], p), t, p) % p
+        x[q] = _matmul_mod((p - _unit_upper_inverse(a[lo:hi, q], p)) % p, t, p)
     return x
 
 

@@ -230,8 +230,8 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 64, 65, 2048])
-def test_limb_product_with_minus_exact(n, p):
-    # entries p - 1 and odd entries fill every limb; minus rows of 0,
+def test_limb_product_with_plus_exact(n, p):
+    # entries p - 1 and odd entries fill every limb; plus rows of 0,
     # p - 1 and random residues reach both ends of the last Horner step
     rng = np.random.default_rng([29, n, p])
     odd = min(p // 2, 2**15)
@@ -241,10 +241,10 @@ def test_limb_product_with_minus_exact(n, p):
     y = np.full((n, 3), p - 1, dtype=np.int64)
     y[:, 1] = p - 2 - 2 * rng.integers(0, odd, n)
     y[:, 2] = rng.integers(0, p, n)
-    minus = rng.integers(0, p, (3, 3))
-    minus[0] = 0
-    minus[1] = p - 1
-    got = exactlin._matmul_mod(x, y, p, minus=minus)
+    plus = rng.integers(0, p, (3, 3))
+    plus[0] = 0
+    plus[1] = p - 1
+    got = exactlin._matmul_mod(x, y, p, plus=plus)
     prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
-    want = [[(int(mv) - v) % p for mv, v in zip(mrow, row)] for mrow, row in zip(minus, prod)]
+    want = [[(int(pv) + v) % p for pv, v in zip(prow, row)] for prow, row in zip(plus, prod)]
     assert got.dtype == np.int64 and got.tolist() == want

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -84,6 +85,31 @@ def test_check_prime_accepts_defaults_and_small():
 def test_check_prime_rejects(bad):
     with pytest.raises(ValueError):
         check_prime(bad)
+
+
+# strong pseudoprimes to base 2; to bases 2 and 3; to bases 2, 3 and 5;
+# Carmichael numbers; the square of the largest prime below sqrt(2**31)
+PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911]
+
+
+@pytest.mark.parametrize("bad", PSEUDOPRIMES + CARMICHAEL + [46337**2])
+def test_check_prime_rejects_pseudoprimes(bad):
+    assert not sympy.isprime(bad)
+    with pytest.raises(ValueError, match="is not prime"):
+        check_prime(bad)
+
+
+def test_check_prime_agrees_with_sympy():
+    sample = np.random.default_rng(31).integers(3, 2**31, 3000).tolist()
+    primes = {n for n in sample if sympy.isprime(n)}
+    assert len(primes) > 50
+    for n in sample:
+        if n in primes:
+            assert check_prime(n) == n
+        else:
+            with pytest.raises(ValueError):
+                check_prime(n)
 
 
 def test_rank_identity_and_zero():
