@@ -293,6 +293,9 @@ def test_reproduce_bounds_table(capsys):
         ["probe", "--binary", "4", "-k", "1", "--trials", "0"],
         ["sweep", "-m", "5..5", "--jobs", "0"],
         ["reproduce", "nosuchcase"],
+        ["bounds", "-m", "5.."],
+        ["bounds", "-m", "..6"],
+        ["bounds", "-m", "a..b"],
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys):
