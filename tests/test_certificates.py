@@ -25,6 +25,7 @@ from segreid.tangency import (
 from segreid.terracini import secant_dim_probe
 
 P = DEFAULT_PRIMES[0]
+GOLDEN_SCHEMA = pathlib.Path(__file__).parent / "golden" / "certificate_schema.json"
 
 
 def weak_cert(m=5, k=4, seed=0, wall=None):
@@ -39,6 +40,12 @@ def test_schema_keys_are_the_certificate_fields():
     names = {f.name for f in dataclasses.fields(Certificate)}
     assert set(CERTIFICATE_SCHEMA["properties"]) == names
     assert CERTIFICATE_SCHEMA["required"] == list(CERTIFICATE_SCHEMA["properties"])
+
+
+def test_schema_is_the_published_one():
+    # key order included: dumps keeps insertion order, and so does loads
+    golden = json.loads(GOLDEN_SCHEMA.read_text())
+    assert json.dumps(CERTIFICATE_SCHEMA) == json.dumps(golden)
 
 
 def test_probe_certificate_validates():
