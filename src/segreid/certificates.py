@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import jsonschema
@@ -29,72 +29,48 @@ from .terracini import SecantProbeResult, expected_dim
 SCHEMA_VERSION = 1
 GENERATOR_NAME = SplitMix64.name
 
-CERTIFICATE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "secant identifiability probe certificate",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "shape": {
-            "type": "array",
-            "minItems": 2,
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "k": {"type": "integer", "minimum": 1},
-        "prime": {"type": "integer", "minimum": 3},
-        "seed": {"type": "integer", "minimum": 0},
-        "generator": {"const": GENERATOR_NAME},
-        "trials": {"type": "integer", "minimum": 1},
-        "coordinate_order": {"const": COORDINATE_ORDER},
-        "expected_dim": {"type": "integer", "minimum": 0},
-        "observed_dim": {"type": ["integer", "null"], "minimum": 0},
-        "defect": {"type": ["integer", "null"], "minimum": 0},
-        "kernel_dim": {"type": ["integer", "null"], "minimum": 0},
-        "hyperplane_coeffs": {
-            "type": ["array", "null"],
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "coranks": {
-            "type": ["array", "null"],
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "verdict": {"enum": [status.value for status in VerdictStatus]},
-        "propagated_from_k": {"type": ["integer", "null"], "minimum": 1},
-        "cited": {"type": "array", "items": {"type": "string"}},
-        "notes": {"type": "array", "items": {"type": "string"}},
-        "wall_time_s": {"type": ["number", "null"], "minimum": 0},
-    },
-}
-CERTIFICATE_SCHEMA["required"] = list(CERTIFICATE_SCHEMA["properties"])
-
 # The fields a certificate copies from its cell's probe record, and back.
 _PROBE_OUTCOMES = ("observed_dim", "kernel_dim", "hyperplane_coeffs", "coranks")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """One probe cell, pinned inputs plus outcomes, ready for JSON."""
+def _rule(default=MISSING, **rule):
+    """A certificate field and its JSON Schema rule, kept in its metadata."""
+    return field(default=default, metadata={"schema": rule})
 
-    shape: tuple[int, ...]
-    k: int
-    prime: int
-    seed: int
-    trials: int
-    expected_dim: int
-    observed_dim: int | None
-    defect: int | None
-    kernel_dim: int | None
-    hyperplane_coeffs: tuple[int, ...] | None
-    coranks: tuple[int, ...] | None
-    verdict: str
-    cited: tuple[str, ...]
-    notes: tuple[str, ...] = ()
-    propagated_from_k: int | None = None
-    wall_time_s: float | None = None
-    schema_version: int = SCHEMA_VERSION
-    generator: str = GENERATOR_NAME
-    coordinate_order: str = COORDINATE_ORDER
+
+_COUNT = {"type": "integer", "minimum": 0}
+_COUNT_OR_NULL = {"type": ["integer", "null"], "minimum": 0}
+
+
+@dataclass(frozen=True, kw_only=True)
+class Certificate:
+    """One probe cell, pinned inputs plus outcomes, ready for JSON.
+
+    Each field's JSON Schema rule lives in its metadata, where
+    CERTIFICATE_SCHEMA reads it; construction takes keywords only.
+    """
+
+    schema_version: int = _rule(SCHEMA_VERSION, const=SCHEMA_VERSION)
+    shape: tuple[int, ...] = _rule(
+        type="array", minItems=2, items={"type": "integer", "minimum": 1}
+    )
+    k: int = _rule(type="integer", minimum=1)
+    prime: int = _rule(type="integer", minimum=3)
+    seed: int = _rule(**_COUNT)
+    generator: str = _rule(GENERATOR_NAME, const=GENERATOR_NAME)
+    trials: int = _rule(type="integer", minimum=1)
+    coordinate_order: str = _rule(COORDINATE_ORDER, const=COORDINATE_ORDER)
+    expected_dim: int = _rule(**_COUNT)
+    observed_dim: int | None = _rule(**_COUNT_OR_NULL)
+    defect: int | None = _rule(**_COUNT_OR_NULL)
+    kernel_dim: int | None = _rule(**_COUNT_OR_NULL)
+    hyperplane_coeffs: tuple[int, ...] | None = _rule(type=["array", "null"], items=_COUNT)
+    coranks: tuple[int, ...] | None = _rule(type=["array", "null"], items=_COUNT)
+    verdict: str = _rule(enum=[status.value for status in VerdictStatus])
+    propagated_from_k: int | None = _rule(None, type=["integer", "null"], minimum=1)
+    cited: tuple[str, ...] = _rule(type="array", items={"type": "string"})
+    notes: tuple[str, ...] = _rule((), type="array", items={"type": "string"})
+    wall_time_s: float | None = _rule(None, type=["number", "null"], minimum=0)
 
     def to_dict(self) -> dict:
         """The record as JSON values: each field by name, tuples as lists."""
@@ -112,6 +88,16 @@ class Certificate:
         d.pop("wall_time_s")
         payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+CERTIFICATE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "secant identifiability probe certificate",
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {f.name: f.metadata["schema"] for f in fields(Certificate)},
+    "required": [f.name for f in fields(Certificate)],
+}
 
 
 @functools.cache
@@ -185,23 +171,32 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
     propagated certificate stands for its support: a certified corank-0
     probe at k' = propagated_from_k, which by construction attained the
     expected dimension with every corank 0 there.
+
+    The derived fields are recomputed too: a ValueError is raised when
+    expected_dim is not that of (shape, k), or when defect is not
+    expected_dim - observed_dim (null when observed_dim is null).
     """
     shape = ProductShape(cert.shape)
+    exp = expected_dim(shape, cert.k)
+    derived = (exp, None if cert.observed_dim is None else exp - cert.observed_dim)
+    stored = (cert.expected_dim, cert.defect)
+    if stored != derived:
+        raise ValueError("(expected_dim, defect) %r, recomputed %r" % (stored, derived))
     pins = dict(shape=shape, trials=cert.trials, prime=cert.prime, seed=cert.seed)
     probes = []
     if cert.propagated_from_k is not None:
         kk = cert.propagated_from_k
-        exp = expected_dim(shape, kk)
+        top = expected_dim(shape, kk)
         probes.append(
             SecantProbeResult(
-                k=kk, observed_dim=exp, expected_dim=exp, coranks=(0,) * (kk + 1), **pins
+                k=kk, observed_dim=top, expected_dim=top, coranks=(0,) * (kk + 1), **pins
             )
         )
     if cert.observed_dim is not None:
         probes.append(
             SecantProbeResult(
                 k=cert.k,
-                expected_dim=cert.expected_dim,
+                expected_dim=exp,
                 **{name: getattr(cert, name) for name in _PROBE_OUTCOMES},
                 **pins,
             )

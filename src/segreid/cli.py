@@ -77,14 +77,33 @@ def _emit(cert, store):
 
 
 def probe_cell(shape, k, trials, prime, seed):
-    """One (prime, seed) cell: tangency probe when order-1 applies, else dims only."""
+    """One (prime, seed) cell: tangency probe when order-1 applies, else dims only.
+
+    Returns the probe and its wall time in seconds, to the microsecond.
+    """
     t0 = time.perf_counter()
     if order_one_applicable(shape, k):
         res = weak_defectivity_probe(shape, k, trials=trials, prime=prime, seed=seed)
     else:
         res = secant_dim_probe(shape, k, trials=trials, prime=prime, seed=seed)
-    wall = time.perf_counter() - t0
-    return res, wall
+    return res, round(time.perf_counter() - t0, 6)
+
+
+def _certify(shape, ks, runs, pins=None):
+    """The certificates for ``ks`` from one (shape, prime) group of (probe, wall) runs.
+
+    Each verdict is taken over the whole group.  A k with its own run
+    records that probe and its wall time; any other k records ``pins``
+    and null probe fields.
+    """
+    evidence = [res for res, _ in runs]
+    own = {res.k: (res, wall) for res, wall in runs}
+    certs = []
+    for k in ks:
+        res, wall = own.get(k, (None, None))
+        verdict = identifiability_verdict(shape, k, evidence)
+        certs.append(certificate_from_verdict(verdict, res, pins=pins, wall_time_s=wall))
+    return certs
 
 
 def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0):
@@ -105,12 +124,7 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0):
                 if (pr, s) not in runs:
                     runs[pr, s] = probe_cell(shape, k, trials, pr, s)
 
-    certs = [
-        certificate_from_verdict(
-            identifiability_verdict(shape, k, [res]), res, wall_time_s=round(wall, 6)
-        )
-        for res, wall in runs.values()
-    ]
+    certs = [cert for run in runs.values() for cert in _certify(shape, [k], [run])]
 
     evidence = [res for res, _ in runs.values()]
     aggregate = identifiability_verdict(shape, k, evidence)
@@ -142,14 +156,14 @@ def _sweep_cell(cell):
     shape = ProductShape(dims)
     try:
         res, _ = probe_cell(shape, k, trials, prime, seed)
-        return cell, res, None
+        return res, None
     except Exception as exc:  # keep the pool alive, report the cell
         error = {
             "cell": list(cell[:3]),
             "error": "%s: %s" % (type(exc).__name__, exc),
             "traceback": traceback.format_exc(),
         }
-        return cell, None, error
+        return None, error
 
 
 def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=None):
@@ -170,28 +184,20 @@ def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=No
                     (shape.factor_dims, k, prime, trials, derive_seed(seed, shape, k, prime))
                 )
 
-    results = {}
-    errors = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_cell, cells))
     else:
         outcomes = [_sweep_cell(cell) for cell in cells]
-    for cell, res, err in outcomes:
-        if err is not None:
-            errors.append(err)
-        else:
-            results[cell] = res
-
-    by_mp = {}
-    for cell, res in results.items():
-        by_mp.setdefault((cell[0], cell[2]), []).append(res)
-
+    errors = [err for _, err in outcomes if err is not None]
+    groups = {}
+    for res, _ in outcomes:
+        if res is not None:
+            groups.setdefault((res.shape, res.prime), []).append((res, None))
     certs = []
-    for cell in sorted(results, key=lambda c: (len(c[0]), c[1], c[2])):
-        dims, k, prime = cell[0], cell[1], cell[2]
-        verdict = identifiability_verdict(ProductShape(dims), k, by_mp[(dims, prime)])
-        certs.append(certificate_from_verdict(verdict, results[cell]))
+    for (shape, _), runs in groups.items():
+        certs += _certify(shape, [res.k for res, _ in runs], runs)
+    certs.sort(key=lambda c: (len(c.shape), c.k, c.prime))
     return certs, errors
 
 
@@ -319,14 +325,7 @@ def _reproduce_m6table(store):
     shape = ProductShape.binary(6)
     prime, seed, trials = DEFAULT_PRIMES[0], 0, 3
     res8, wall = probe_cell(shape, 8, trials, prime, seed)
-    certs = []
-    for k in range(1, 10):
-        verdict = identifiability_verdict(shape, k, [res8])
-        if k == 8:
-            cert = certificate_from_verdict(verdict, res8, wall_time_s=round(wall, 6))
-        else:
-            cert = certificate_from_verdict(verdict, pins=(prime, seed, trials))
-        certs.append(cert)
+    certs = _certify(shape, range(1, 10), [(res8, wall)], pins=(prime, seed, trials))
     for cert in certs:
         _emit(cert, store)
     ok = (
@@ -394,7 +393,10 @@ def _int_at_least(low):
 @_checked
 def _parse_m_range(text):
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    rng = (int(lo), int(hi))
+    try:
+        rng = (int(lo), int(hi))
+    except ValueError:
+        raise ValueError("expected M or A..B, got %r" % text) from None
     if rng[0] < 2 or rng[1] < rng[0]:
         raise ValueError("need 2 <= A <= B, got %r" % text)
     return rng

@@ -166,6 +166,24 @@ def test_verdict_recomputes_from_numeric_fields():
         assert verdict_from_certificate(cert).status.value == cert.verdict
 
 
+def test_read_back_rejects_tampered_derived_fields():
+    s4 = ProductShape.binary(4)
+    res = secant_dim_probe(s4, 2, seed=0)
+    probed = certificate_from_verdict(identifiability_verdict(s4, 2, [res]), res).to_dict()
+    assert (probed["expected_dim"], probed["observed_dim"], probed["defect"]) == (14, 13, 1)
+    unprobed = certificate_from_verdict(
+        identifiability_verdict(s4, 3, []), pins=(P, 0, 3)
+    ).to_dict()
+    for tampered in [
+        {**probed, "expected_dim": 13, "defect": 0, "verdict": "Undetermined"},
+        {**probed, "defect": 5},
+        {**unprobed, "defect": 0},
+    ]:
+        cert = certificate_from_dict(tampered)
+        with pytest.raises(ValueError, match="recomputed"):
+            verdict_from_certificate(cert)
+
+
 def test_propagated_certificate_recomputes_support():
     s6 = ProductShape.binary(6)
     res8 = weak_defectivity_probe(s6, 8, seed=0)

@@ -305,6 +305,22 @@ def test_bad_arguments_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["5..", "..6", "a..b", "3..4..5"])
+def test_bad_m_range_names_value_and_form(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "-m", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument -m/--factors: expected M or A..B, got %r" % text in err
+
+
+@pytest.mark.parametrize("text, rows", [(" 3 .. 5", 3), ("3..+5", 3), ("1_0", 1)])
+def test_m_range_accepts_what_int_accepts(text, rows, capsys):
+    code, lines = run(capsys, "bounds", "-m", text, "--format", "json")
+    assert code == 0
+    assert len(lines) == rows
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
