@@ -19,8 +19,6 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-import jsonschema
-
 from .exactlin import SplitMix64
 from .segre import COORDINATE_ORDER, ProductShape
 from .tangency import Verdict, VerdictStatus, identifiability_verdict
@@ -100,9 +98,38 @@ CERTIFICATE_SCHEMA = {
 }
 
 
+# The JSON types that a value of each exact Python type surely has: a bool
+# is no integer and a tuple no array.  Any other value is left to jsonschema.
+_JSON_TYPES = {type(None): {"null"}, int: {"integer", "number"}, float: {"number"},
+               str: {"string"}, list: {"array"}}
+_KEYWORDS = {
+    "type": lambda v, t: not _JSON_TYPES[type(v)].isdisjoint([t] if type(t) is str else t),
+    "const": lambda v, c: type(v) is type(c) and type(c) in (int, str) and v == c,
+    "enum": lambda v, cs: any(_KEYWORDS["const"](v, c) for c in cs),
+    "minimum": lambda v, low: type(v) not in (int, float) or v >= low,  # a NaN fails
+    "minItems": lambda v, n: type(v) is not list or len(v) >= n,
+    "items": lambda v, rule: type(v) is not list or all(_surely_admits(rule, x) for x in v),
+}
+
+
+def _surely_admits(rule, v) -> bool:
+    """One-sided: True only if ``v`` satisfies ``rule``; an unknown keyword admits nothing."""
+    return type(v) in _JSON_TYPES and all(
+        key in _KEYWORDS and _KEYWORDS[key](v, want) for key, want in rule.items()
+    )
+
+
+def _surely_valid(d) -> bool:
+    """One-sided: True only for a dict of exactly the certificate's fields, each admitted."""
+    rules = CERTIFICATE_SCHEMA["properties"]
+    ok = type(d) is dict and d.keys() == rules.keys()
+    return ok and all(_surely_admits(rules[name], v) for name, v in d.items())
+
+
 @functools.cache
 def _schema_validator():
     """CERTIFICATE_SCHEMA's validator, checked and built on first use only."""
+    import jsonschema
     cls = jsonschema.validators.validator_for(CERTIFICATE_SCHEMA)
     cls.check_schema(CERTIFICATE_SCHEMA)
     return cls(CERTIFICATE_SCHEMA)
@@ -110,9 +137,11 @@ def _schema_validator():
 
 def validate_certificate_dict(d: dict) -> None:
     """Raise the error ``jsonschema.validate(d, CERTIFICATE_SCHEMA)`` would raise."""
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(d))
-    if error is not None:
-        raise error
+    if not _surely_valid(d):  # jsonschema judges, and reports, only what this cannot admit
+        import jsonschema
+        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(d))
+        if error is not None:
+            raise error
 
 
 def certificate_from_dict(d: dict) -> Certificate:

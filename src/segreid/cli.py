@@ -29,7 +29,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import NOTE_M6_K9, SPECIAL_CELLS, regime_report
 from .certificates import (
@@ -185,6 +184,7 @@ def run_sweep(m_range, trials=3, primes=DEFAULT_PRIMES, seed=0, jobs=1, max_k=No
                 )
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when used
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_cell, cells))
     else:
@@ -390,13 +390,17 @@ def _int_at_least(low):
     return parse
 
 
+def _ints(parts, form, text):
+    """``parts`` of ``text`` as integers; any other part is a ValueError naming ``form``."""
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        raise ValueError("expected %s, got %r" % (form, text)) from None
+
+
 @_checked
 def _parse_m_range(text):
-    lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    try:
-        rng = (int(lo), int(hi))
-    except ValueError:
-        raise ValueError("expected M or A..B, got %r" % text) from None
+    rng = _ints(text.split("..", 1) if ".." in text else (text, text), "M or A..B", text)
     if rng[0] < 2 or rng[1] < rng[0]:
         raise ValueError("need 2 <= A <= B, got %r" % text)
     return rng
@@ -404,7 +408,7 @@ def _parse_m_range(text):
 
 @_checked
 def _parse_primes(text):
-    primes = tuple(int(part) for part in text.split(","))
+    primes = _ints(text.split(","), "P1,P2,...", text)
     for i, p in enumerate(primes):
         check_prime(p)
         if p in primes[:i]:
@@ -470,7 +474,7 @@ def build_parser():
     grp.add_argument("--binary", type=_checked(lambda t: ProductShape.binary(int(t))),
                      dest="shape", metavar="M", help="product of M projective lines")
     grp.add_argument("--shape", metavar="N1,N2,...",
-                     type=_checked(lambda t: ProductShape(tuple(map(int, t.split(","))))),
+                     type=_checked(lambda t: ProductShape(_ints(t.split(","), "N1,N2,...", t))),
                      help="factor dimensions, e.g. 1,1,2")
     pr.add_argument("-k", type=_int_at_least(1), required=True,
                     help="number of secant points is k+1")

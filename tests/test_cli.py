@@ -25,6 +25,13 @@ def run(capsys, *argv):
     return code, out.splitlines()
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def parse(lines):
     return [json.loads(line) for line in lines]
 
@@ -314,6 +321,26 @@ def test_bad_m_range_names_value_and_form(text, capsys):
     assert "argument -m/--factors: expected M or A..B, got %r" % text in err
 
 
+@pytest.mark.parametrize(
+    "option, text, form",
+    [
+        ("--primes", "", "P1,P2,..."),
+        ("--primes", "3,", "P1,P2,..."),
+        ("--shape", "1,,2", "N1,N2,..."),
+        ("--shape", "a,1", "N1,N2,..."),
+    ],
+)
+def test_bad_integer_list_names_value_and_form(option, text, form, capsys):
+    argv = ["probe", "-k", "1", option, text]
+    if option == "--primes":
+        argv += ["--binary", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: expected %s, got %r" % (option, form, text) in err
+
+
 @pytest.mark.parametrize("text, rows", [(" 3 .. 5", 3), ("3..+5", 3), ("1_0", 1)])
 def test_m_range_accepts_what_int_accepts(text, rows, capsys):
     code, lines = run(capsys, "bounds", "-m", text, "--format", "json")
@@ -353,16 +380,39 @@ def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, caps
 
 
 def test_console_script_entry_point():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "segreid", "bounds", "-m", "6"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_python("-m", "segreid", "bounds", "-m", "6")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,8,4,3,5,")
+
+
+# Runs that print only valid certificates, then one malformed certificate.
+IMPORT_SET = """
+import json, sys
+import segreid.cli
+segreid.cli.build_parser()
+for argv in json.loads(sys.argv[1]):
+    segreid.cli.main(argv)
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
+try:
+    segreid.cli.validate_certificate_dict({"k": 0})
+except Exception as exc:
+    import jsonschema
+    print(isinstance(exc, jsonschema.ValidationError))
+"""
+
+
+def test_valid_runs_import_neither_jsonschema_nor_the_process_pool():
+    runs = [
+        ["probe", "--binary", "5", "-k", "1", "--primes", "2147483647"],
+        ["reproduce", "m5k4"],
+        ["sweep", "-m", "4..5", "--jobs", "1", "--primes", "2147483647"],
+    ]
+    unused = ["jsonschema", "concurrent.futures.process", "multiprocessing"]
+    proc = run_python("-c", IMPORT_SET, json.dumps(runs), json.dumps(unused))
+    assert proc.returncode == 0, proc.stderr
+    loaded, rejected = proc.stdout.splitlines()[-2:]
+    assert json.loads(loaded) == []
+    assert rejected == "True"
 
 
 PINNED_OPTIONS = {
