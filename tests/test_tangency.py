@@ -4,13 +4,20 @@ import pytest
 import contact_oracle as oracle
 from contact_oracle import first_order_residuals
 from echelon_oracle import matmul_mod
-from segreid.bounds import NOTE_M6_K9, SPECIAL_CELLS
+from segreid.bounds import CITE_EXCEPTION_M5K4, NOTE_M6_K9, SPECIAL_CELLS
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
 from segreid.segre import ProductShape, random_point
 from segreid.tangency import (
+    CITE_CORANK_ZERO,
+    CITE_DEFECT_EVIDENCE,
+    CITE_DIM_COUNT,
     CITE_MONOTONE,
+    CITE_ORDER_ONE,
+    CITE_RANK_CERTIFICATE,
+    CITE_WEAK_EVIDENCE,
     NOTE_FILLING,
     NOTE_NO_EVIDENCE,
+    Verdict,
     VerdictStatus,
     contact_corank,
     contact_jacobian,
@@ -172,32 +179,42 @@ def _certified_result(shape, k, prime=P, seed=0):
     )
 
 
+# the citations of a certified cell, before any monotonicity citation
+CERTIFIED = (CITE_RANK_CERTIFICATE, CITE_CORANK_ZERO, CITE_ORDER_ONE)
+
+
 def test_verdict_dimension_count():
-    v = identifiability_verdict(ProductShape.binary(4), 3, [])
-    assert v.status is VerdictStatus.NOT_IDENTIFIABLE_DIMENSION_COUNT
-    assert v.cited
+    s = ProductShape.binary(4)
+    assert identifiability_verdict(s, 3, []) == Verdict(
+        VerdictStatus.NOT_IDENTIFIABLE_DIMENSION_COUNT, s, 3, (CITE_DIM_COUNT,)
+    )
 
 
 def test_verdict_known_exception_wins_over_probe_data():
     s = ProductShape.binary(5)
     res = weak_defectivity_probe(s, 4, seed=0)
-    v = identifiability_verdict(s, 4, [res])
-    assert v.status is VerdictStatus.KNOWN_EXCEPTION_SECANT_ORDER_2
+    assert identifiability_verdict(s, 4, [res]) == Verdict(
+        VerdictStatus.KNOWN_EXCEPTION_SECANT_ORDER_2, s, 4, (CITE_EXCEPTION_M5K4,)
+    )
 
 
 def test_verdict_contradicted_exception_raises():
     # all coranks 0 on a rank-attaining record certifies what the recorded
     # m=5 k=4 exception denies; the record must not mask it
     s = ProductShape.binary(5)
-    with pytest.raises(ValueError, match="m=5 k=4"):
+    want = (
+        "probes at k=4 certify identifiability of the binary cell m=5 k=4,"
+        " contradicting its recorded verdict KnownExceptionSecantOrder2"
+    )
+    with pytest.raises(ValueError, match="^%s$" % want):
         identifiability_verdict(s, 4, [_certified_result(s, 4)])
 
 
 def test_verdict_six_lines_k9_recorded_discrepancy():
     s = ProductShape.binary(6)
-    v = identifiability_verdict(s, 9, [_certified_result(s, 8)])
-    assert v.status is VerdictStatus.UNDETERMINED
-    assert NOTE_M6_K9 in v.notes
+    assert identifiability_verdict(s, 9, [_certified_result(s, 8)]) == Verdict(
+        VerdictStatus.UNDETERMINED, s, 9, (), (NOTE_M6_K9,)
+    )
 
 
 def test_no_order_one_cell_above_a_special_cell():
@@ -214,41 +231,39 @@ def test_no_order_one_cell_above_a_special_cell():
 
 def test_verdict_certified_at_own_k():
     s = ProductShape.binary(6)
-    v = identifiability_verdict(s, 8, [_certified_result(s, 8)])
-    assert v.status is VerdictStatus.IDENTIFIABLE_CERTIFIED
-    assert v.support_k == 8
-    assert CITE_MONOTONE not in v.cited
+    assert identifiability_verdict(s, 8, [_certified_result(s, 8)]) == Verdict(
+        VerdictStatus.IDENTIFIABLE_CERTIFIED, s, 8, CERTIFIED, support_k=8
+    )
 
 
 def test_verdict_propagates_down_with_monotonicity_citation():
     s = ProductShape.binary(6)
-    v = identifiability_verdict(s, 2, [_certified_result(s, 8)])
-    assert v.status is VerdictStatus.IDENTIFIABLE_CERTIFIED
-    assert v.support_k == 8
-    assert CITE_MONOTONE in v.cited
+    assert identifiability_verdict(s, 2, [_certified_result(s, 8)]) == Verdict(
+        VerdictStatus.IDENTIFIABLE_CERTIFIED, s, 2, CERTIFIED + (CITE_MONOTONE,), support_k=8
+    )
 
 
 def test_verdict_prefers_smallest_support():
     s = ProductShape.binary(6)
     probes = [_certified_result(s, 8), _certified_result(s, 5)]
-    v = identifiability_verdict(s, 3, probes)
-    assert v.support_k == 5
+    assert identifiability_verdict(s, 3, probes) == Verdict(
+        VerdictStatus.IDENTIFIABLE_CERTIFIED, s, 3, CERTIFIED + (CITE_MONOTONE,), support_k=5
+    )
 
 
 def test_verdict_defect_candidate_and_escalation_note():
     s = ProductShape.binary(4)
     one = [secant_dim_probe(s, 2, prime=P, seed=0)]
-    v = identifiability_verdict(s, 2, one)
-    assert v.status is VerdictStatus.DEFECT_CANDIDATE
-    assert v.notes == ()
+    candidate = Verdict(VerdictStatus.DEFECT_CANDIDATE, s, 2, (CITE_DEFECT_EVIDENCE,))
+    assert identifiability_verdict(s, 2, one) == candidate
     grid = [
         secant_dim_probe(s, 2, prime=p, seed=sd)
         for p in DEFAULT_PRIMES
         for sd in (0, 1, 2)
     ]
-    v = identifiability_verdict(s, 2, grid)
-    assert v.status is VerdictStatus.DEFECT_CANDIDATE
-    assert DEFECT_EVIDENCE in v.notes
+    assert identifiability_verdict(s, 2, grid) == Verdict(
+        VerdictStatus.DEFECT_CANDIDATE, s, 2, (CITE_DEFECT_EVIDENCE,), (DEFECT_EVIDENCE,)
+    )
 
 
 def test_verdict_weak_evidence_path():
@@ -259,19 +274,26 @@ def test_verdict_weak_evidence_path():
         observed_dim=exp, expected_dim=exp,
         kernel_dim=43, hyperplane_coeffs=(1,) * 43, coranks=(1, 0, 0),
     )
-    v = identifiability_verdict(s, 2, [probe])
-    assert v.status is VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE
+    assert identifiability_verdict(s, 2, [probe]) == Verdict(
+        VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE, s, 2, (CITE_WEAK_EVIDENCE,)
+    )
 
 
 def test_verdict_undetermined_notes():
     s3 = ProductShape.binary(3)
     v = identifiability_verdict(s3, 1, [secant_dim_probe(s3, 1, seed=0)])
-    assert v.status is VerdictStatus.UNDETERMINED
-    assert NOTE_FILLING in v.notes
+    assert v == Verdict(VerdictStatus.UNDETERMINED, s3, 1, (), (NOTE_FILLING,))
     s6 = ProductShape.binary(6)
     v = identifiability_verdict(s6, 2, [])
-    assert v.status is VerdictStatus.UNDETERMINED
-    assert NOTE_NO_EVIDENCE in v.notes
+    assert v == Verdict(VerdictStatus.UNDETERMINED, s6, 2, (), (NOTE_NO_EVIDENCE,))
+    # a probe of the cell's own that neither certifies nor shows evidence
+    # leaves the verdict without notes
+    probe = SecantProbeResult(
+        shape=s6, k=2, trials=3, prime=P, seed=0,
+        observed_dim=expected_dim(s6, 2), expected_dim=expected_dim(s6, 2),
+    )
+    v = identifiability_verdict(s6, 2, [probe])
+    assert v == Verdict(VerdictStatus.UNDETERMINED, s6, 2, ())
 
 
 def test_verdict_rejects_bad_k():
@@ -283,5 +305,6 @@ def test_verdict_ignores_foreign_cells():
     # a certified probe for a different shape must not leak in
     s6 = ProductShape.binary(6)
     s7 = ProductShape.binary(7)
-    v = identifiability_verdict(s6, 2, [_certified_result(s7, 8)])
-    assert v.status is VerdictStatus.UNDETERMINED
+    assert identifiability_verdict(s6, 2, [_certified_result(s7, 8)]) == Verdict(
+        VerdictStatus.UNDETERMINED, s6, 2, (), (NOTE_NO_EVIDENCE,)
+    )
