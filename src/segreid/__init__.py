@@ -13,6 +13,7 @@ from .bounds import (
     NOTE_M6_K9,
     Regime,
     RegimeReport,
+    VerdictStatus,
     ceil_log2,
     classify,
     k_max,
@@ -49,7 +50,6 @@ from .segre import (
 )
 from .tangency import (
     Verdict,
-    VerdictStatus,
     contact_coranks,
     identifiability_verdict,
     order_one_applicable,

@@ -18,7 +18,7 @@ lines embedded in P^(2^m - 1):
 Two cells are recorded rather than derived, in ``SPECIAL_CELLS``: the
 five-factor k=4 exception and the six-factor k=9 discrepancy.  The
 classifier, the regime reports and the identifiability verdict all read
-that one table.
+that one table, and ``VerdictStatus`` beside it spells every verdict.
 """
 
 from __future__ import annotations
@@ -121,18 +121,26 @@ class Regime(str, Enum):
     SMALL_M = "SmallM"
 
 
+class VerdictStatus(str, Enum):
+    IDENTIFIABLE_CERTIFIED = "IdentifiableCertified"
+    NOT_IDENTIFIABLE_DIMENSION_COUNT = "NotIdentifiableDimensionCount"
+    KNOWN_EXCEPTION_SECANT_ORDER_2 = "KnownExceptionSecantOrder2"
+    DEFECT_CANDIDATE = "DefectCandidate"
+    WEAKLY_DEFECTIVE_EVIDENCE = "WeaklyDefectiveEvidence"
+    UNDETERMINED = "Undetermined"
+
+
 @dataclass(frozen=True)
 class SpecialCell:
     """A binary (m, k) cell whose answer is recorded, not derived.
 
     ``regime`` overrides classify() (None keeps the computed regime);
-    ``verdict`` is the identifiability verdict's status value, reported
-    with ``cited``; ``notes`` go into both the regime report and the
-    verdict.
+    ``verdict`` is the identifiability verdict's status, reported with
+    ``cited``; ``notes`` go into both the regime report and the verdict.
     """
 
     regime: Regime | None
-    verdict: str
+    verdict: VerdictStatus
     cited: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -140,13 +148,13 @@ class SpecialCell:
 SPECIAL_CELLS = {
     (5, 4): SpecialCell(
         regime=Regime.KNOWN_EXCEPTION,
-        verdict="KnownExceptionSecantOrder2",
+        verdict=VerdictStatus.KNOWN_EXCEPTION_SECANT_ORDER_2,
         cited=(CITE_EXCEPTION_M5K4,),
         notes=(),
     ),
     (6, 9): SpecialCell(
         regime=None,
-        verdict="Undetermined",
+        verdict=VerdictStatus.UNDETERMINED,
         cited=(),
         notes=(NOTE_M6_K9,),
     ),

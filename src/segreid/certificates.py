@@ -19,9 +19,10 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .bounds import VerdictStatus
 from .exactlin import SplitMix64
 from .segre import COORDINATE_ORDER, ProductShape
-from .tangency import Verdict, VerdictStatus, identifiability_verdict
+from .tangency import Verdict, identifiability_verdict
 from .terracini import SecantProbeResult, expected_dim
 
 SCHEMA_VERSION = 1
@@ -203,34 +204,47 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
 
     The derived fields are recomputed too: a ValueError is raised when
     expected_dim is not that of (shape, k), or when defect is not
-    expected_dim - observed_dim (null when observed_dim is null).
+    expected_dim - observed_dim (null when observed_dim is null).  It is
+    raised as well when a field that is not null breaks its rule below,
+    so that no probe field can stand for more evidence than it holds.
     """
     shape = ProductShape(cert.shape)
-    exp = expected_dim(shape, cert.k)
-    derived = (exp, None if cert.observed_dim is None else exp - cert.observed_dim)
+    k, obs, kernel = cert.k, cert.observed_dim, cert.kernel_dim
+    exp = expected_dim(shape, k)
+    derived = (exp, None if obs is None else exp - obs)
     stored = (cert.expected_dim, cert.defect)
     if stored != derived:
         raise ValueError("(expected_dim, defect) %r, recomputed %r" % (stored, derived))
+    coranks, coeffs, kk = cert.coranks, cert.hyperplane_coeffs, cert.propagated_from_k
+    nullity = None if obs is None else shape.ambient_dim - obs
+    rules = {
+        "propagated_from_k > k": kk is None or kk > k,
+        "len(coranks) = k + 1": coranks is None or len(coranks) == k + 1,
+        "kernel_dim = r - observed_dim": kernel in (None, nullity),
+        "len(hyperplane_coeffs) = kernel_dim": coeffs is None or len(coeffs) == kernel,
+    }
+    broken = [rule for rule, holds in rules.items() if not holds]
+    if broken:
+        raise ValueError("certificate breaks %s" % "; ".join(broken))
     pins = dict(shape=shape, trials=cert.trials, prime=cert.prime, seed=cert.seed)
     probes = []
-    if cert.propagated_from_k is not None:
-        kk = cert.propagated_from_k
+    if kk is not None:
         top = expected_dim(shape, kk)
         probes.append(
             SecantProbeResult(
                 k=kk, observed_dim=top, expected_dim=top, coranks=(0,) * (kk + 1), **pins
             )
         )
-    if cert.observed_dim is not None:
+    if obs is not None:
         probes.append(
             SecantProbeResult(
-                k=cert.k,
+                k=k,
                 expected_dim=exp,
                 **{name: getattr(cert, name) for name in _PROBE_OUTCOMES},
                 **pins,
             )
         )
-    return identifiability_verdict(shape, cert.k, probes)
+    return identifiability_verdict(shape, k, probes)
 
 
 def write_certificate(cert: Certificate, directory) -> Path:

@@ -30,7 +30,7 @@ import sys
 import time
 import traceback
 
-from .bounds import NOTE_M6_K9, SPECIAL_CELLS, regime_report
+from .bounds import NOTE_M6_K9, SPECIAL_CELLS, VerdictStatus, regime_report
 from .certificates import (
     certificate_from_verdict,
     validate_certificate_dict,
@@ -39,12 +39,7 @@ from .certificates import (
 )
 from .exactlin import DEFAULT_PRIMES, check_prime
 from .segre import ProductShape
-from .tangency import (
-    VerdictStatus,
-    identifiability_verdict,
-    order_one_applicable,
-    weak_defectivity_probe,
-)
+from .tangency import identifiability_verdict, order_one_applicable, weak_defectivity_probe
 from .terracini import defect_status, secant_dim_probe
 
 ENV_STORE = "SEGREID_STORE"
@@ -263,7 +258,7 @@ def cmd_sweep(args):
     )
     for cert in certs:
         _emit(cert, args.store)
-    counter = sum(1 for c in certs if c.verdict in (s.value for s in _COUNTER_EVIDENCE))
+    counter = sum(1 for c in certs if c.verdict in _COUNTER_EVIDENCE)
     summary = {
         "type": "sweep_summary",
         "m_range": list(args.factors),

@@ -264,15 +264,6 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) ->
         a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s])
 
 
-def _blocks(pivots: list[int], cols: int):
-    """(first row, end row, first column) of the pivot rows of each
-    ``_PANEL`` columns, bottom first, skipping blocks without a pivot."""
-    for c0 in range((cols - 1) // _PANEL * _PANEL, -1, -_PANEL):
-        lo, hi = (int(i) for i in np.searchsorted(pivots, (c0, c0 + _PANEL)))
-        if lo < hi:
-            yield lo, hi, c0
-
-
 def _eliminate(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of the residue matrix ``a``, factored in place.
 
@@ -315,10 +306,12 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     holds one residue column per vector, its rows the free columns left
     to right; column j is the combination of ``ff_kernel``'s basis with
     coefficients ``xf[:, j]``.  The pivot coordinates solve U x = 0 by
-    block back-substitution, the pivot rows of ``_PANEL`` columns at a
-    time, bottom block first.  With the block's own pivot coordinates
-    still 0, which is also what its multipliers meet, its rows give
-    ``t = a[rows, c0:] @ x[c0:]``, and its pivot coordinates are
+    block back-substitution, ``_PANEL`` pivot rows at a time, bottom
+    block first.  The rows above a block have their pivots left of the
+    block's first pivot column q0, so from q0 on the block's rows hold
+    only U and its own multipliers.  With its own pivot coordinates
+    still 0, which is also what those multipliers meet, its rows give
+    ``t = a[rows, q0:] @ x[q0:]``, and its pivot coordinates are
     ``-U11^-1 t``.
     """
     cols = a.shape[1]
@@ -326,10 +319,11 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     free[pivots] = False
     x = np.zeros((cols, xf.shape[1]), dtype=np.int64)
     x[free] = xf
-    for lo, hi, c0 in _blocks(pivots, cols):
-        q = pivots[lo:hi]
-        t = _matmul_mod(a[lo:hi, c0:], x[c0:], p)
-        x[q] = _matmul_mod((p - _unit_upper_inverse(a[lo:hi, q], p)) % p, t, p)
+    for lo in range((len(pivots) - 1) // _PANEL * _PANEL, -1, -_PANEL):
+        q = pivots[lo : lo + _PANEL]
+        rows = slice(lo, lo + len(q))
+        t = _matmul_mod(a[rows, q[0] :], x[q[0] :], p)
+        x[q] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
     return x
 
 

@@ -23,12 +23,11 @@ contact points of a trial in one batched pass (``contact_coranks``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import SPECIAL_CELLS
+from .bounds import SPECIAL_CELLS, VerdictStatus
 from .exactlin import (
     DEFAULT_PRIMES,
     _eliminate,
@@ -298,15 +297,6 @@ def weak_defectivity_probe(
     )
 
 
-class VerdictStatus(str, Enum):
-    IDENTIFIABLE_CERTIFIED = "IdentifiableCertified"
-    NOT_IDENTIFIABLE_DIMENSION_COUNT = "NotIdentifiableDimensionCount"
-    KNOWN_EXCEPTION_SECANT_ORDER_2 = "KnownExceptionSecantOrder2"
-    DEFECT_CANDIDATE = "DefectCandidate"
-    WEAKLY_DEFECTIVE_EVIDENCE = "WeaklyDefectiveEvidence"
-    UNDETERMINED = "Undetermined"
-
-
 @dataclass(frozen=True)
 class Verdict:
     status: VerdictStatus
@@ -322,88 +312,50 @@ def identifiability_verdict(
 ) -> Verdict:
     """Combine probe outcomes into one verdict for (shape, k).
 
-    Rules, in order: a binary cell recorded in SPECIAL_CELLS gets its
-    recorded verdict, unless the probes certify identifiability there,
-    which contradicts the record and raises ValueError; a dimension
-    count above the ambient dimension is a proof of
-    non-identifiability; a certified corank-0 probe at any k' >= k
+    One rule chain, first match wins: a binary cell recorded in
+    SPECIAL_CELLS gets its recorded verdict, unless the probes certify
+    identifiability there, which contradicts the record and raises
+    ValueError; a dimension count above the ambient dimension is a proof
+    of non-identifiability; a certified corank-0 probe at any k' >= k
     (with the order-1 criterion applicable at k') certifies
-    identifiability down at k; otherwise the strongest available
-    evidence is reported, or Undetermined.
+    identifiability down at k, supported by the smallest such k';
+    otherwise the cell's own probes give the strongest available
+    evidence, a rank shortfall before positive coranks, or Undetermined.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     count = shape.dim * k + shape.dim + k
     r = shape.ambient_dim
+    ours = [pr for pr in probes if pr.shape == shape]
+    own = [pr for pr in ours if pr.k == k]
     support = [
-        pr
-        for pr in probes
-        if pr.shape == shape
-        and pr.k >= k
-        and pr.certified
-        and order_one_applicable(shape, pr.k)
+        pr.k for pr in ours if pr.k >= k and pr.certified and order_one_applicable(shape, pr.k)
     ]
     special = SPECIAL_CELLS.get((shape.num_factors, k)) if shape.is_binary else None
+    notes, support_k = (), None
     if special is not None:
         if support:
             raise ValueError(
-                f"probes at k={min(pr.k for pr in support)} certify"
-                f" identifiability of the binary cell m={shape.num_factors}"
-                f" k={k}, contradicting its recorded verdict {special.verdict}"
+                f"probes at k={min(support)} certify identifiability of the binary cell"
+                f" m={shape.num_factors} k={k}, contradicting its recorded verdict"
+                f" {special.verdict.value}"
             )
-        return Verdict(
-            status=VerdictStatus(special.verdict),
-            shape=shape,
-            k=k,
-            cited=special.cited,
-            notes=special.notes,
-        )
-    if count > r:
-        return Verdict(
-            status=VerdictStatus.NOT_IDENTIFIABLE_DIMENSION_COUNT,
-            shape=shape,
-            k=k,
-            cited=(CITE_DIM_COUNT,),
-        )
-    if support:
-        best = min(support, key=lambda pr: pr.k)
+        status, cited, notes = special.verdict, special.cited, special.notes
+    elif count > r:
+        status, cited = VerdictStatus.NOT_IDENTIFIABLE_DIMENSION_COUNT, (CITE_DIM_COUNT,)
+    elif support:
+        status, support_k = VerdictStatus.IDENTIFIABLE_CERTIFIED, min(support)
         cited = (CITE_RANK_CERTIFICATE, CITE_CORANK_ZERO, CITE_ORDER_ONE)
-        if best.k > k:
-            cited = cited + (CITE_MONOTONE,)
-        return Verdict(
-            status=VerdictStatus.IDENTIFIABLE_CERTIFIED,
-            shape=shape,
-            k=k,
-            cited=cited,
-            support_k=best.k,
-        )
-    own = [pr for pr in probes if pr.shape == shape and pr.k == k]
-    label = defect_status(own) if own else None
-    if label is not None:
+        cited += (CITE_MONOTONE,) if support_k > k else ()
+    elif own and (label := defect_status(own)):
+        status, cited = VerdictStatus.DEFECT_CANDIDATE, (CITE_DEFECT_EVIDENCE,)
         notes = (label,) if label == DEFECT_EVIDENCE else ()
-        return Verdict(
-            status=VerdictStatus.DEFECT_CANDIDATE,
-            shape=shape,
-            k=k,
-            cited=(CITE_DEFECT_EVIDENCE,),
-            notes=notes,
-        )
-    if any(pr.coranks is not None and any(pr.coranks) for pr in own):
-        return Verdict(
-            status=VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE,
-            shape=shape,
-            k=k,
-            cited=(CITE_WEAK_EVIDENCE,),
-        )
-    notes = ()
-    if count == r:
-        notes = (NOTE_FILLING,)
-    elif not own:
-        notes = (NOTE_NO_EVIDENCE,)
-    return Verdict(
-        status=VerdictStatus.UNDETERMINED,
-        shape=shape,
-        k=k,
-        cited=(),
-        notes=notes,
-    )
+    elif any(pr.coranks is not None and any(pr.coranks) for pr in own):
+        status, cited = VerdictStatus.WEAKLY_DEFECTIVE_EVIDENCE, (CITE_WEAK_EVIDENCE,)
+    else:
+        status, cited = VerdictStatus.UNDETERMINED, ()
+        if count == r:
+            notes = (NOTE_FILLING,)
+        elif not own:
+            notes = (NOTE_NO_EVIDENCE,)
+    return Verdict(status, shape, k, cited, notes, support_k)

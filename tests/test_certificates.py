@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 
 import jsonschema
 import pytest
@@ -184,6 +185,36 @@ def test_read_back_rejects_tampered_derived_fields():
     ]:
         cert = certificate_from_dict(tampered)
         with pytest.raises(ValueError, match="recomputed"):
+            verdict_from_certificate(cert)
+
+
+def test_read_back_rejects_probe_fields_that_break_their_rules():
+    # without these rules, the first two and the last recompute as
+    # IdentifiableCertified: an empty tuple of coranks is vacuously all 0,
+    # and a support at k' = k needs no probe data at all
+    s = ProductShape((1, 2, 3))
+    res = weak_defectivity_probe(s, 2, seed=0)
+    weak = certificate_from_verdict(identifiability_verdict(s, 2, [res]), res).to_dict()
+    assert (weak["verdict"], weak["coranks"], weak["kernel_dim"]) == (
+        "WeaklyDefectiveEvidence", [4, 4, 4], 3
+    )
+    certified = {**weak, "verdict": "IdentifiableCertified"}
+    s7 = ProductShape.binary(7)
+    unprobed = certificate_from_verdict(
+        identifiability_verdict(s7, 3, []), pins=(P, 0, 3)
+    ).to_dict()
+    for tampered, rule in [
+        ({**certified, "coranks": []}, "len(coranks) = k + 1"),
+        ({**certified, "coranks": [0]}, "len(coranks) = k + 1"),
+        ({**weak, "kernel_dim": 0}, "kernel_dim = r - observed_dim"),
+        ({**weak, "hyperplane_coeffs": [1]}, "len(hyperplane_coeffs) = kernel_dim"),
+        (
+            {**unprobed, "propagated_from_k": 3, "verdict": "IdentifiableCertified"},
+            "propagated_from_k > k",
+        ),
+    ]:
+        cert = certificate_from_dict(tampered)
+        with pytest.raises(ValueError, match=r"^certificate breaks .*%s" % re.escape(rule)):
             verdict_from_certificate(cert)
 
 
