@@ -6,8 +6,8 @@ pinned inputs reproduces every numeric field bit for bit; wall_time_s
 is informational only and excluded from the content digest, so the
 digest (and the content-addressed store filename) identifies the
 replayable content.  Every emission is validated against
-CERTIFICATE_SCHEMA and against a recomputation of the verdict from the
-numeric fields.
+CERTIFICATE_SCHEMA, and the certificate is rebuilt from the evidence its
+fields record; it is emitted only if it rebuilds to itself.
 """
 
 from __future__ import annotations
@@ -195,37 +195,18 @@ def certificate_from_verdict(
 
 
 def verdict_from_certificate(cert: Certificate) -> Verdict:
-    """Recompute the verdict from a certificate's numeric fields.
+    """The verdict of a certificate that rebuilds to itself from its evidence.
 
-    Every emission checks that this matches the stored verdict.  A
-    propagated certificate stands for its support: a certified corank-0
-    probe at k' = propagated_from_k, which by construction attained the
-    expected dimension with every corank 0 there.
-
-    The derived fields are recomputed too: a ValueError is raised when
-    expected_dim is not that of (shape, k), or when defect is not
-    expected_dim - observed_dim (null when observed_dim is null).  It is
-    raised as well when a field that is not null breaks its rule below,
-    so that no probe field can stand for more evidence than it holds.
+    The evidence is the cell's own probe record, read from the probe
+    fields, and for a propagated certificate its support: a certified
+    corank-0 probe at k' = propagated_from_k, which by construction
+    attained the expected dimension with every corank 0 there.  The
+    verdict over that evidence rebuilds the certificate through
+    ``certificate_from_verdict``; a ValueError names every field whose
+    stored and rebuilt values differ.  A probe field that breaks its
+    rule raises in ``SecantProbeResult``.
     """
-    shape = ProductShape(cert.shape)
-    k, obs, kernel = cert.k, cert.observed_dim, cert.kernel_dim
-    exp = expected_dim(shape, k)
-    derived = (exp, None if obs is None else exp - obs)
-    stored = (cert.expected_dim, cert.defect)
-    if stored != derived:
-        raise ValueError("(expected_dim, defect) %r, recomputed %r" % (stored, derived))
-    coranks, coeffs, kk = cert.coranks, cert.hyperplane_coeffs, cert.propagated_from_k
-    nullity = None if obs is None else shape.ambient_dim - obs
-    rules = {
-        "propagated_from_k > k": kk is None or kk > k,
-        "len(coranks) = k + 1": coranks is None or len(coranks) == k + 1,
-        "kernel_dim = r - observed_dim": kernel in (None, nullity),
-        "len(hyperplane_coeffs) = kernel_dim": coeffs is None or len(coeffs) == kernel,
-    }
-    broken = [rule for rule, holds in rules.items() if not holds]
-    if broken:
-        raise ValueError("certificate breaks %s" % "; ".join(broken))
+    shape, k, kk = ProductShape(cert.shape), cert.k, cert.propagated_from_k
     pins = dict(shape=shape, trials=cert.trials, prime=cert.prime, seed=cert.seed)
     probes = []
     if kk is not None:
@@ -235,16 +216,21 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
                 k=kk, observed_dim=top, expected_dim=top, coranks=(0,) * (kk + 1), **pins
             )
         )
-    if obs is not None:
-        probes.append(
-            SecantProbeResult(
-                k=k,
-                expected_dim=exp,
-                **{name: getattr(cert, name) for name in _PROBE_OUTCOMES},
-                **pins,
-            )
-        )
-    return identifiability_verdict(shape, k, probes)
+    own = None
+    if cert.observed_dim is not None:
+        outcomes = {name: getattr(cert, name) for name in _PROBE_OUTCOMES}
+        own = SecantProbeResult(k=k, expected_dim=expected_dim(shape, k), **outcomes, **pins)
+        probes.append(own)
+    verdict = identifiability_verdict(shape, k, probes)
+    stored = cert.to_dict()
+    rebuilt = certificate_from_verdict(
+        verdict, own, pins=(cert.prime, cert.seed, cert.trials), wall_time_s=cert.wall_time_s
+    ).to_dict()
+    if stored != rebuilt:
+        # as JSON text, so that a NaN wall time equals itself
+        texts = [(name, json.dumps(v), json.dumps(rebuilt[name])) for name, v in stored.items()]
+        raise ValueError("; ".join("%s %s, recomputed %s" % t for t in texts if t[1] != t[2]))
+    return verdict
 
 
 def write_certificate(cert: Certificate, directory) -> Path:

@@ -69,7 +69,8 @@ class SecantProbeResult:
     probe also records the Terracini kernel dimension and, when a trial
     attained the expected dimension, the kernel combination it drew and
     the contact coranks at its k+1 points; a dimension probe leaves
-    those fields None.
+    those fields None.  A field that is not None must keep its rule in
+    ``__post_init__``, so that no record holds more evidence than it has.
     """
 
     shape: ProductShape
@@ -86,6 +87,16 @@ class SecantProbeResult:
     def __post_init__(self):
         if self.observed_dim > self.expected_dim:
             raise ValueError("observed dimension above the expected dimension")
+        kernel, coeffs, coranks = self.kernel_dim, self.hyperplane_coeffs, self.coranks
+        rules = {
+            "len(coranks) = k + 1": coranks is None or len(coranks) == self.k + 1,
+            "kernel_dim = r - observed_dim":
+                kernel in (None, self.shape.ambient_dim - self.observed_dim),
+            "len(hyperplane_coeffs) = kernel_dim": coeffs is None or len(coeffs) == kernel,
+        }
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise ValueError("probe record breaks %s" % "; ".join(broken))
 
     @property
     def defect(self) -> int:

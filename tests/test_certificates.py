@@ -21,6 +21,7 @@ from segreid.cli import main
 from segreid.exactlin import DEFAULT_PRIMES
 from segreid.segre import ProductShape
 from segreid.tangency import (
+    CITE_MONOTONE,
     VerdictStatus,
     identifiability_verdict,
     weak_defectivity_probe,
@@ -178,10 +179,27 @@ def test_read_back_rejects_tampered_derived_fields():
     unprobed = certificate_from_verdict(
         identifiability_verdict(s4, 3, []), pins=(P, 0, 3)
     ).to_dict()
+    exception = weak_cert().to_dict()
+    s7 = ProductShape.binary(7)
+    unprobed7 = certificate_from_verdict(
+        identifiability_verdict(s7, 3, []), pins=(P, 0, 3)
+    ).to_dict()
+    s6 = ProductShape.binary(6)
+    res8 = weak_defectivity_probe(s6, 8, seed=0)
+    propagated = certificate_from_verdict(
+        identifiability_verdict(s6, 3, [res8]), pins=(P, 0, 3)
+    ).to_dict()
+    assert propagated["propagated_from_k"] == 8 and CITE_MONOTONE in propagated["cited"]
     for tampered in [
         {**probed, "expected_dim": 13, "defect": 0, "verdict": "Undetermined"},
         {**probed, "defect": 5},
         {**unprobed, "defect": 0},
+        {**exception, "cited": ["anything"]},
+        {**exception, "notes": ["made up"]},
+        {**unprobed7, "coranks": [0, 0, 0, 0]},
+        {**propagated, "cited": [c for c in propagated["cited"] if c != CITE_MONOTONE]},
+        # a support at k' = k needs no probe data at all
+        {**unprobed7, "propagated_from_k": 3, "verdict": "IdentifiableCertified"},
     ]:
         cert = certificate_from_dict(tampered)
         with pytest.raises(ValueError, match="recomputed"):
@@ -189,9 +207,8 @@ def test_read_back_rejects_tampered_derived_fields():
 
 
 def test_read_back_rejects_probe_fields_that_break_their_rules():
-    # without these rules, the first two and the last recompute as
-    # IdentifiableCertified: an empty tuple of coranks is vacuously all 0,
-    # and a support at k' = k needs no probe data at all
+    # without these rules, the first two recompute as IdentifiableCertified:
+    # an empty tuple of coranks is vacuously all 0
     s = ProductShape((1, 2, 3))
     res = weak_defectivity_probe(s, 2, seed=0)
     weak = certificate_from_verdict(identifiability_verdict(s, 2, [res]), res).to_dict()
@@ -199,22 +216,14 @@ def test_read_back_rejects_probe_fields_that_break_their_rules():
         "WeaklyDefectiveEvidence", [4, 4, 4], 3
     )
     certified = {**weak, "verdict": "IdentifiableCertified"}
-    s7 = ProductShape.binary(7)
-    unprobed = certificate_from_verdict(
-        identifiability_verdict(s7, 3, []), pins=(P, 0, 3)
-    ).to_dict()
     for tampered, rule in [
         ({**certified, "coranks": []}, "len(coranks) = k + 1"),
         ({**certified, "coranks": [0]}, "len(coranks) = k + 1"),
         ({**weak, "kernel_dim": 0}, "kernel_dim = r - observed_dim"),
         ({**weak, "hyperplane_coeffs": [1]}, "len(hyperplane_coeffs) = kernel_dim"),
-        (
-            {**unprobed, "propagated_from_k": 3, "verdict": "IdentifiableCertified"},
-            "propagated_from_k > k",
-        ),
     ]:
         cert = certificate_from_dict(tampered)
-        with pytest.raises(ValueError, match=r"^certificate breaks .*%s" % re.escape(rule)):
+        with pytest.raises(ValueError, match=r"^probe record breaks .*%s" % re.escape(rule)):
             verdict_from_certificate(cert)
 
 
@@ -325,6 +334,9 @@ def test_one_sided_check_accepts_every_golden_certificate(capsys):
         dicts = [d for d in lines if "schema_version" in d]
         assert len(dicts) == len(case["digests"])
         assert all(certificates._surely_valid(d) for d in dicts)
+        # and each rebuilds to itself from its stored evidence
+        for d in dicts:
+            verdict_from_certificate(certificate_from_dict(d))
 
 
 def test_certificate_rejects_probe_of_another_cell():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -251,6 +252,15 @@ def test_sweep_parallel_matches_serial(capsys):
     _, serial = run(capsys, "sweep", "-m", "5..5", "--primes", P1, "--jobs", "1")
     _, parallel = run(capsys, "sweep", "-m", "5..5", "--primes", P1, "--jobs", "2")
     assert serial == parallel
+
+
+def test_emit_rejects_a_tampered_certificate_and_prints_nothing(tmp_path, capsys):
+    cert = cli.run_probe(ProductShape.binary(5), 4, primes=(DEFAULT_PRIMES[0],))[0][0]
+    tampered = dataclasses.replace(cert, cited=("anything",))
+    with pytest.raises(ValueError, match="^cited .*, recomputed "):
+        cli._emit(tampered, str(tmp_path))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_m5k4(capsys):

@@ -174,7 +174,7 @@ def _certified_result(shape, k, prime=P, seed=0):
         observed_dim=exp,
         expected_dim=exp,
         kernel_dim=shape.ambient_dim - exp,
-        hyperplane_coeffs=(1,),
+        hyperplane_coeffs=(1,) * (shape.ambient_dim - exp),
         coranks=(0,) * (k + 1),
     )
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,16 +86,22 @@ def test_observed_dim_monotone_in_nested_point_sets():
 
 
 def test_result_rejects_observed_above_expected():
-    with pytest.raises(ValueError):
-        SecantProbeResult(
-            shape=ProductShape.binary(3),
-            k=1,
-            trials=1,
-            prime=P,
-            seed=0,
-            observed_dim=8,
-            expected_dim=7,
-        )
+    s = ProductShape.binary(4)
+    base = dict(shape=s, k=1, trials=1, prime=P, seed=0, observed_dim=9, expected_dim=9)
+    assert SecantProbeResult(**base, kernel_dim=6, hyperplane_coeffs=(1,) * 6, coranks=(0, 0))
+    with pytest.raises(ValueError, match="observed dimension above"):
+        SecantProbeResult(**{**base, "observed_dim": 10})
+    # a record holds no more evidence than it has: without the first rule,
+    # the empty coranks would be vacuously all 0 and certify the cell
+    for fields, rule in [
+        (dict(coranks=()), "len(coranks) = k + 1"),
+        (dict(coranks=(0, 0, 0)), "len(coranks) = k + 1"),
+        (dict(kernel_dim=5), "kernel_dim = r - observed_dim"),
+        (dict(kernel_dim=6, hyperplane_coeffs=(1,)), "len(hyperplane_coeffs) = kernel_dim"),
+        (dict(hyperplane_coeffs=(1,)), "len(hyperplane_coeffs) = kernel_dim"),
+    ]:
+        with pytest.raises(ValueError, match=r"^probe record breaks .*%s" % re.escape(rule)):
+            SecantProbeResult(**base, **fields)
 
 
 def test_probe_argument_validation():
