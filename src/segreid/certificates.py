@@ -5,16 +5,18 @@ carries every numeric outcome of the probe at that cell.  Replaying the
 pinned inputs reproduces every numeric field bit for bit; wall_time_s
 is informational only and excluded from the content digest, so the
 digest (and the content-addressed store filename) identifies the
-replayable content.  Every emission is validated against
-CERTIFICATE_SCHEMA, and the certificate is rebuilt from the evidence its
-fields record; it is emitted only if it rebuilds to itself.
+replayable content.  One check, validate_certificate_dict, decides every
+dict by the field rules CERTIFICATE_SCHEMA publishes, under exact JSON
+types (1.0 is no integer, a NaN or infinite float no number), so a valid
+dict has one canonical text.  Every emission is validated, and emitted
+only if it rebuilds to itself from the evidence its fields record.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -22,7 +24,7 @@ from pathlib import Path
 from .bounds import VerdictStatus
 from .exactlin import SplitMix64
 from .segre import COORDINATE_ORDER, ProductShape
-from .tangency import Verdict, identifiability_verdict
+from .tangency import Verdict, identifiability_verdict, order_one_applicable
 from .terracini import SecantProbeResult, expected_dim
 
 SCHEMA_VERSION = 1
@@ -32,8 +34,35 @@ GENERATOR_NAME = SplitMix64.name
 _PROBE_OUTCOMES = ("observed_dim", "kernel_dim", "hyperplane_coeffs", "coranks")
 
 
+# A value's JSON types by its exact Python type: a bool is no integer, a tuple
+# no array, and a float is a number only when finite, and never an integer.
+_JSON_TYPES = {type(None): {"null"}, bool: {"boolean"}, int: {"integer", "number"},
+               float: {"number"}, str: {"string"}, list: {"array"}}
+_KEYWORDS = {
+    "type": lambda v, t: (type(v) is not float or math.isfinite(v))
+        and not _JSON_TYPES.get(type(v), set()).isdisjoint([t] if type(t) is str else t),
+    "const": lambda v, c: type(v) is type(c) and v == c,
+    "enum": lambda v, cs: any(type(v) is type(c) and v == c for c in cs),
+    "minimum": lambda v, low: type(v) not in (int, float) or v >= low,
+    "minItems": lambda v, n: type(v) is not list or len(v) >= n,
+    "items": lambda v, rule: type(v) is not list or not any(_broken(rule, x) for x in v),
+}
+
+
+def _broken(rule, v):
+    """The first (keyword, wanted value) of ``rule`` that ``v`` breaks, or None."""
+    for key, want in rule.items():
+        if not _KEYWORDS[key](v, want):
+            return key, want
+
+
 def _rule(default=MISSING, **rule):
-    """A certificate field and its JSON Schema rule, kept in its metadata."""
+    """A certificate field and its JSON Schema rule, kept in its metadata; a
+    keyword with no check in _KEYWORDS raises here, at import, never skipped."""
+    if unknown := rule.keys() - _KEYWORDS.keys():
+        raise ValueError(f"no check for schema keywords {sorted(unknown)}")
+    if "items" in rule:
+        _rule(**rule["items"])
     return field(default=default, metadata={"schema": rule})
 
 
@@ -99,50 +128,16 @@ CERTIFICATE_SCHEMA = {
 }
 
 
-# The JSON types that a value of each exact Python type surely has: a bool
-# is no integer and a tuple no array.  Any other value is left to jsonschema.
-_JSON_TYPES = {type(None): {"null"}, int: {"integer", "number"}, float: {"number"},
-               str: {"string"}, list: {"array"}}
-_KEYWORDS = {
-    "type": lambda v, t: not _JSON_TYPES[type(v)].isdisjoint([t] if type(t) is str else t),
-    "const": lambda v, c: type(v) is type(c) and type(c) in (int, str) and v == c,
-    "enum": lambda v, cs: any(_KEYWORDS["const"](v, c) for c in cs),
-    "minimum": lambda v, low: type(v) not in (int, float) or v >= low,  # a NaN fails
-    "minItems": lambda v, n: type(v) is not list or len(v) >= n,
-    "items": lambda v, rule: type(v) is not list or all(_surely_admits(rule, x) for x in v),
-}
-
-
-def _surely_admits(rule, v) -> bool:
-    """One-sided: True only if ``v`` satisfies ``rule``; an unknown keyword admits nothing."""
-    return type(v) in _JSON_TYPES and all(
-        key in _KEYWORDS and _KEYWORDS[key](v, want) for key, want in rule.items()
-    )
-
-
-def _surely_valid(d) -> bool:
-    """One-sided: True only for a dict of exactly the certificate's fields, each admitted."""
-    rules = CERTIFICATE_SCHEMA["properties"]
-    ok = type(d) is dict and d.keys() == rules.keys()
-    return ok and all(_surely_admits(rules[name], v) for name, v in d.items())
-
-
-@functools.cache
-def _schema_validator():
-    """CERTIFICATE_SCHEMA's validator, checked and built on first use only."""
-    import jsonschema
-    cls = jsonschema.validators.validator_for(CERTIFICATE_SCHEMA)
-    cls.check_schema(CERTIFICATE_SCHEMA)
-    return cls(CERTIFICATE_SCHEMA)
-
-
 def validate_certificate_dict(d: dict) -> None:
-    """Raise the error ``jsonschema.validate(d, CERTIFICATE_SCHEMA)`` would raise."""
-    if not _surely_valid(d):  # jsonschema judges, and reports, only what this cannot admit
-        import jsonschema
-        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(d))
-        if error is not None:
-            raise error
+    """Raise ValueError unless ``d`` holds exactly the certificate's fields and
+    each value is admitted by its field's rule in CERTIFICATE_SCHEMA."""
+    rules = CERTIFICATE_SCHEMA["properties"]
+    if (keys := d.keys() if type(d) is dict else ()) != rules.keys():
+        missing, unknown = [n for n in rules if n not in keys], [n for n in keys if n not in rules]
+        raise ValueError(f"not a certificate: missing fields {missing}, unknown {unknown}")
+    for name, v in d.items():
+        if broken := _broken(rules[name], v):
+            raise ValueError("certificate field %r: %r breaks %s %r" % (name, v, *broken))
 
 
 def certificate_from_dict(d: dict) -> Certificate:
@@ -209,13 +204,10 @@ def verdict_from_certificate(cert: Certificate) -> Verdict:
     shape, k, kk = ProductShape(cert.shape), cert.k, cert.propagated_from_k
     pins = dict(shape=shape, trials=cert.trials, prime=cert.prime, seed=cert.seed)
     probes = []
-    if kk is not None:
+    if kk is not None and order_one_applicable(shape, kk):  # else the verdict ignores it
         top = expected_dim(shape, kk)
-        probes.append(
-            SecantProbeResult(
-                k=kk, observed_dim=top, expected_dim=top, coranks=(0,) * (kk + 1), **pins
-            )
-        )
+        support = dict(k=kk, observed_dim=top, expected_dim=top, coranks=(0,) * (kk + 1))
+        probes.append(SecantProbeResult(**support, **pins))
     own = None
     if cert.observed_dim is not None:
         outcomes = {name: getattr(cert, name) for name in _PROBE_OUTCOMES}
