@@ -1,11 +1,14 @@
 """Exact linear algebra over prime fields.
 
-Matrices are plain numpy int64 arrays whose entries are residues in
-``[0, p)``; the modulus travels as an explicit argument.  Every product
-of two residues is reduced immediately, which is why the moduli are
-capped below 2**31: ``a * b <= (p - 1)**2 < 2**62`` and
-``a - b * c > -2**62`` both stay inside int64, so one reduction per
-operation suffices and no intermediate ever overflows.
+Residue matrices are stored as numpy int32 arrays, entries in ``[0, p)``;
+the modulus travels as an explicit argument and is capped at
+``2**31 - 1``, the int32 maximum, so every residue fits.  Products are
+taken in int64 or in float64 limbs, never in int32: one factor of every
+product is widened to int64 first, since under NumPy 2 an int32 times
+an int32 or a Python int stays int32 and wraps silently.  In int64,
+``a * b <= (p - 1)**2 < 2**62`` and ``a - b * c > -2**62``, so one
+reduction per product suffices and no intermediate overflows; the
+reduced value is narrowed back to int32 as it is stored.
 
 Elimination is an in-place CUP factorisation over F_p, blocked and
 right-looking (FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
@@ -42,7 +45,7 @@ _U64 = (1 << 64) - 1
 
 
 def check_prime(p: int) -> int:
-    """Validate a modulus for the int64 reduction discipline.
+    """Validate a modulus for int32 residues and int64 products.
 
     Requires 3 <= p < 2**31 and primality (Miller-Rabin with bases
     2, 3, 5, 7, which is exact for every integer below 3215031751 and
@@ -111,9 +114,22 @@ class SplitMix64:
         return self.residue(p - 1) + 1
 
 
+def _integer_array(data) -> np.ndarray:
+    """``data`` as an int64 array.
+
+    Raises ValueError for floats and any other non-integer data, which a
+    cast would truncate (2.9 to 2) instead of refusing.
+    """
+    a = np.asarray(data)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"expected integer entries, got {a.dtype} data")
+    return a.astype(np.int64, copy=False)
+
+
 def _as_matrix(mat, p: int) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    return a % p
+    """A fresh int32 residue matrix: ``mat`` reduced mod p, at least 2-D."""
+    a = np.atleast_2d(_integer_array(mat))
+    return np.remainder(a, p, out=np.empty(a.shape, dtype=np.int32))
 
 
 # Columns per elimination panel.
@@ -157,7 +173,7 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
         )
     b = 22 - (n - 1).bit_length()
     yf = y.astype(np.float64)
-    limb = np.empty(x.shape, dtype=np.int64)
+    limb = np.empty(x.shape, dtype=x.dtype)
     limbf = np.empty(x.shape)
     part = np.empty((x.shape[0], y.shape[1]))
     ipart = np.empty(part.shape, dtype=np.int64)
@@ -187,10 +203,9 @@ def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int) -> list[int]:
     of the column; its row is swapped whole up to row r.  The pivot d
     stays in place, as L's diagonal, and the pivot row is divided by d
     right of it, up to c1.  Each row below with a nonzero entry f in the
-    pivot column subtracts f times the pivot row there, one reduction
-    per residue product, valid because entries stay below p < 2**31,
-    and keeps f, its multiplier in L.  Columns from c1 are left to
-    ``_update``.
+    pivot column subtracts f times the pivot row there, with f widened
+    to int64 and one reduction per residue product, and keeps f, its
+    multiplier in L.  Columns from c1 are left to ``_update``.
     """
     rows = a.shape[0]
     pivots: list[int] = []
@@ -204,12 +219,13 @@ def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int) -> list[int]:
             piv = r + int(nz[0])
             a[[r, piv]] = a[[piv, r]]
         u = a[r, c + 1 : c1]
-        u[...] = u * pow(int(a[r, c]), -1, p) % p
+        u[...] = u * np.int64(pow(int(a[r, c]), -1, p)) % p
         # the swapped-down row is zero in column c, so the rows below
         # with a nonzero there are the rest of nz
         hit = r + nz[1:]
         if hit.size:
-            a[hit, c + 1 : c1] = (a[hit, c + 1 : c1] - a[hit, c, None] * u) % p
+            f = a[hit, c, None].astype(np.int64)
+            a[hit, c + 1 : c1] = (a[hit, c + 1 : c1] - f * u) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -221,7 +237,8 @@ def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
     The diagonal D must be nonzero; entries above it are ignored.  With
     the rows divided by their diagonal entries, ``L = D L'`` and L' is
     unit lower triangular, inverted in k - 1 steps of column elimination
-    on the identity; then ``L^-1 = L'^-1 D^-1``.
+    on the identity; then ``L^-1 = L'^-1 D^-1``.  The steps multiply
+    residues, so they run in int64, and so does the returned inverse.
     """
     k = len(t)
     dinv = np.array([pow(int(d), -1, p) for d in t.diagonal()], dtype=np.int64)
@@ -312,18 +329,24 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     only U and its own multipliers.  With its own pivot coordinates
     still 0, which is also what those multipliers meet, its rows give
     ``t = a[rows, q0:] @ x[q0:]``, and its pivot coordinates are
-    ``-U11^-1 t``.
+    ``-U11^-1 t``.  A vector whose free coordinates from q0 on are all
+    zero is zero from q0 on, so each block skips the vectors before the
+    first that is not: for ``ff_kernel``'s identity, those whose free
+    coordinate lies left of q0.
     """
     cols = a.shape[1]
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
-    x = np.zeros((cols, xf.shape[1]), dtype=np.int64)
+    x = np.zeros((cols, xf.shape[1]), dtype=np.int32)
     x[free] = xf
     for lo in range((len(pivots) - 1) // _PANEL * _PANEL, -1, -_PANEL):
         q = pivots[lo : lo + _PANEL]
         rows = slice(lo, lo + len(q))
-        t = _matmul_mod(a[rows, q[0] :], x[q[0] :], p)
-        x[q] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
+        # the free columns left of q[0] are the first q[0] - lo
+        live = xf[q[0] - lo :].any(axis=0)
+        j0 = int(live.argmax()) if live.any() else len(live)
+        t = _matmul_mod(a[rows, q[0] :], x[q[0] :, j0:], p)
+        x[q, j0:] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
     return x
 
 
@@ -339,9 +362,11 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     is always cols - ff_rank(mat) and ``mat @ v == 0 (mod p)`` holds
     exactly for each.  Free columns get a unit coordinate, so the basis
     is in reduced echelon shape itself: the kernel vectors whose free
-    coordinates are the identity, solved for on the factored form.
+    coordinates are the identity, solved for on the factored form.  The
+    basis is returned as int64, not int32, so that a caller's
+    combination ``(c * v + d * w) % p`` of its rows cannot wrap.
     """
     a = _as_matrix(mat, p)
     pivots = _eliminate(a, p)
-    xf = np.eye(a.shape[1] - len(pivots), dtype=np.int64)
-    return np.ascontiguousarray(_kernel(a, pivots, xf, p).T)
+    xf = np.eye(a.shape[1] - len(pivots), dtype=np.int32)
+    return np.ascontiguousarray(_kernel(a, pivots, xf, p).T, dtype=np.int64)

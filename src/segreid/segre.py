@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import SplitMix64
+from .exactlin import SplitMix64, _integer_array
 
 # One name for the Kronecker coordinate convention, embedded in certificates.
 COORDINATE_ORDER = "lex-leftmost-slowest"
@@ -77,8 +77,11 @@ class ProductShape:
 
 
 def coerce_point(shape: ProductShape, point, p: int) -> tuple[np.ndarray, ...]:
-    """Validate a point against the shape and reduce its coordinates mod p."""
-    factors = tuple(np.asarray(f, dtype=np.int64) % p for f in point)
+    """Validate a point against the shape and reduce its coordinates mod p.
+
+    Raises ValueError for non-integer coordinates.
+    """
+    factors = tuple(_integer_array(f) % p for f in point)
     if len(factors) != shape.num_factors:
         raise ValueError(
             f"point has {len(factors)} factors, shape has {shape.num_factors}"
@@ -130,22 +133,46 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
     return out
 
 
+# Bytes of int64 frames built at a time: each chunk of points is built
+# wide, then reduced values are narrowed into the int32 result.
+_FRAME_CHUNK = 1 << 20
+
+
 def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     """Per point: the embedded point, then each substitution with j >= 1.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
-    (``coerce_points``).  One pass over the factors, last to first, in
-    place in the returned (N, rows, r + 1) array: step i starts factor
-    i's rows as e_j times the point's product over the later factors,
-    then multiplies the point's and the later factors' rows by q_i.
-    Nothing else is allocated: freed large temporaries raise malloc's
-    mmap threshold, and the peak memory of the elimination that follows
-    with it.
+    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues.
+    The products need int64, so the frames are built in one int64
+    buffer of at most ``_FRAME_CHUNK`` bytes (one point when a frame is
+    larger), a chunk of points at a time, and each chunk is narrowed
+    into the result: no int64 array of the result's size is made.
     """
     n = len(qs[0])
     sizes = [f.shape[1] for f in qs]
+    rows = 1 + sum(d - 1 for d in sizes)
+    out = np.empty((n, rows, int(np.prod(sizes))), dtype=np.int32)
+    step = max(1, _FRAME_CHUNK // (out[0].size * 8))
+    wide = np.empty((min(n, step),) + out.shape[1:], dtype=np.int64)
+    for a in range(0, n, step):
+        chunk = wide[: min(step, n - a)]
+        _fill_frames(chunk, tuple(f[a : a + len(chunk)] for f in qs), p)
+        out[a : a + len(chunk)] = chunk
+    return out
+
+
+def _fill_frames(out: np.ndarray, qs: tuple[np.ndarray, ...], p: int) -> None:
+    """``_frames`` of the points ``qs`` into the int64 array ``out``.
+
+    One pass over the factors, last to first, in place: step i starts
+    factor i's rows as e_j times the point's product over the later
+    factors, then multiplies the point's and the later factors' rows by
+    q_i, one reduction per product.
+    """
+    n = len(out)
+    sizes = [f.shape[1] for f in qs]
     start = np.cumsum([1] + [d - 1 for d in sizes])
-    out = np.zeros((n, start[-1], int(np.prod(sizes))), dtype=np.int64)
+    out[...] = 0
     out[:, 0, -1] = 1
     w = 1
     for i in range(len(qs) - 1, -1, -1):
@@ -159,4 +186,3 @@ def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
             rows[:, :, -1] *= f[:, None, -1:]
             rows %= p
         w *= d
-    return out

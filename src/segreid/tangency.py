@@ -31,6 +31,7 @@ from .bounds import SPECIAL_CELLS, VerdictStatus
 from .exactlin import (
     DEFAULT_PRIMES,
     _eliminate,
+    _integer_array,
     _kernel,
     _matmul_mod,
     ff_kernel,
@@ -86,7 +87,7 @@ NOTE_NO_EVIDENCE = "no probe evidence supplied for this cell"
 
 
 def _hyperplane_tensor(shape: ProductShape, h, p: int) -> np.ndarray:
-    hv = np.asarray(h, dtype=np.int64) % p
+    hv = _integer_array(h) % p
     if hv.shape != (shape.ambient_dim + 1,):
         raise ValueError(
             f"hyperplane vector has shape {hv.shape},"
@@ -268,6 +269,7 @@ def weak_defectivity_probe(
         rank = len(pivots)
         best = max(best, rank - 1)
         if rank - 1 != exp:
+            del mat
             continue
         nullity = r + 1 - rank
         # h's free coordinates are cs, so h == 0 exactly when every c is

@@ -27,6 +27,12 @@ def same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_terracini(s, pts, p):
+    # int32 residues, value for value the oracle's int64 matrix
+    got, want = terracini_matrix(s, pts, p), oracle.terracini_matrix(s, pts, p)
+    return got.dtype == np.int32 and got.shape == want.shape and got.tolist() == want.tolist()
+
+
 def batch(s, h, pts, p, chart):
     """Residuals, and Jacobians in the chart freezing slot chart[i] of
     factor i, of every point from one pass."""
@@ -63,7 +69,7 @@ def all_charts(s):
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
 def test_batch_matches_oracle(dims, p):
     s, pts, h = contact_case(dims, p)
-    assert same(terracini_matrix(s, pts, p), oracle.terracini_matrix(s, pts, p))
+    assert same_terracini(s, pts, p)
     for chart in all_charts(s):
         res, jac = batch(s, h, pts, p, chart)
         for q, r_q, j_q in zip(pts, res, jac):
@@ -81,7 +87,7 @@ def test_one_point_batch_matches_oracle(dims):
     p = PRIMES[1]
     s, pts, h = contact_case(dims, p, seed=5)
     q = pts[0]
-    assert same(terracini_matrix(s, [q], p), oracle.terracini_matrix(s, [q], p))
+    assert same_terracini(s, [q], p)
     assert same(tangency_residuals(s, h, q, p), oracle.tangency_residuals(s, h, q, p))
     assert same(contact_jacobian(s, h, q, p), oracle.contact_jacobian(s, h, q, p))
     want = s.dim - ff_rank(oracle.contact_jacobian(s, h, q, p), p)
@@ -96,7 +102,7 @@ def test_largest_entries_match_oracle(dims):
     s = ProductShape(dims)
     h = np.full(s.ambient_dim + 1, p - 1, dtype=np.int64)
     pts = [tuple(np.full(d, p - 1, dtype=np.int64) for d in s.coord_sizes)] * 2
-    assert same(terracini_matrix(s, pts, p), oracle.terracini_matrix(s, pts, p))
+    assert same_terracini(s, pts, p)
     res, jac = batch(s, h, pts, p, (0,) * s.num_factors)
     for r_q, j_q in zip(res, jac):
         assert same(r_q, oracle.tangency_residuals(s, h, pts[0], p))

@@ -10,6 +10,9 @@ combinations of the basis it is given as free coordinates: one column,
 the probe's hyperplane, and three.  Matrices wider than
 ``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
 twice, once routed by width and once with the blocked path forced.
+The factored int32 matrix itself must equal the oracle's unblocked
+int64 CUP form value for value, with entries at the int32 limit and on
+Terracini matrices.
 """
 
 import operator
@@ -19,7 +22,7 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from echelon_oracle import _echelon, kernel_basis, matmul_mod
+from echelon_oracle import _echelon, cup, kernel_basis, matmul_mod
 from segreid import exactlin
 from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
 from segreid.segre import ProductShape, random_point
@@ -29,6 +32,8 @@ NB = exactlin._PANEL
 SUB = exactlin._SUB
 CROSSOVER = exactlin._PLAIN_MAX_COLS
 PRIMES = (3, 65521, 2**31 - 1)
+# the int32 maximum, and the largest admissible modulus
+P31 = 2**31 - 1
 WIDTHS = sorted({NB - 1, NB, NB + 1, CROSSOVER, CROSSOVER + 1, 2 * NB + 1})
 
 
@@ -55,6 +60,7 @@ def assert_echelon_matches_oracle(m, p):
     # the factored matrix, its pivots and the oracle's kernel basis
     want, want_pivots = _echelon(m, p, reduced=True)
     a = exactlin._as_matrix(m, p)
+    assert a.dtype == np.int32
     assert exactlin._eliminate(a, p) == want_pivots
     basis = ff_kernel(m, p)
     old = kernel_basis(want, want_pivots, p)
@@ -180,7 +186,7 @@ def assert_cup_matches_oracle(m, p):
     for n in (1, 3):
         xf = rng.integers(0, p, (len(basis), n))
         x = exactlin._kernel(a, pivots, xf, p)
-        assert x.dtype == np.int64
+        assert x.dtype == np.int32
         assert x.T.tolist() == matmul_mod(xf.T, basis, p).tolist()
         assert not matmul_mod(m, x, p).any()
     return len(pivots)
@@ -248,3 +254,42 @@ def test_limb_product_with_plus_exact(n, p):
     prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
     want = [[(int(pv) + v) % p for pv, v in zip(prow, row)] for prow, row in zip(plus, prod)]
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("diagonal", [P31 - 1, P31 - 2])
+@pytest.mark.parametrize("cols", [CROSSOVER, 3 * NB + 5])
+def test_entries_at_int32_limit_match_oracle(path, cols, diagonal):
+    # every entry p - 1, so any product taken in int32 would wrap; with
+    # p - 2 on the diagonal the top square is -(J + I), of full rank
+    m = np.full((cols + 3, cols), P31 - 1, dtype=np.int64)
+    np.fill_diagonal(m, diagonal)
+    a, pivots, basis = assert_echelon_matches_oracle(m, P31)
+    assert len(pivots) == (1 if diagonal == P31 - 1 else cols)
+    assert a.tolist() == cup(m, P31)[0].tolist()
+    # free coordinates 0, the identity's and all p - 1
+    nf = len(basis)
+    xf = np.hstack([np.zeros((nf, 1), dtype=np.int64), np.eye(nf, dtype=np.int64),
+                    np.full((nf, 1), P31 - 1)])
+    x = exactlin._kernel(a, pivots, xf, P31)
+    want = np.vstack([np.zeros((1, cols), dtype=np.int64), basis,
+                      -basis.sum(axis=0, keepdims=True) % P31])
+    assert x.dtype == np.int32 and x.T.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("k", [1, SUB, NB])
+def test_lower_inverse_at_int32_limit_matches_oracle(k):
+    # the pivot block as stored, every entry p - 1; the oracle reduces [L | I]
+    t = np.full((k, k), P31 - 1, dtype=np.int32)
+    lower = np.tril(t.astype(np.int64))
+    want = _echelon(np.hstack([lower, np.eye(k, dtype=np.int64)]), P31, reduced=True)[0]
+    assert exactlin._lower_inverse(t, P31).tolist() == want[:, k:].tolist()
+
+
+@pytest.mark.parametrize("m, k", [(6, 8), (7, 14), (8, 27), (9, 27), (10, 40)])
+def test_terracini_matrices_factor_as_oracle(m, k):
+    # the plain path at m = 6, 7 and the blocked one above
+    mat = binary_terracini(m, k, P31)
+    want, pivots = cup(mat, P31)
+    assert mat.dtype == np.int32
+    assert exactlin._eliminate(mat, P31) == pivots
+    assert mat.tolist() == want.tolist()

@@ -106,6 +106,15 @@ def test_check_prime_agrees_with_sympy():
                 check_prime(n)
 
 
+def test_rank_and_kernel_reject_non_integer_entries():
+    # a cast would have truncated the first row to zeros: rank 1
+    for f in (ff_rank, ff_kernel):
+        with pytest.raises(ValueError, match="expected integer entries, got float64"):
+            f([[0.5, 0.7], [1, 1]], 7)
+        with pytest.raises(ValueError, match="got object"):
+            f([[2**70, 1], [1, 1]], 7)
+
+
 def test_rank_identity_and_zero():
     assert ff_rank(np.eye(12, dtype=np.int64), P) == 12
     assert ff_rank(np.zeros((5, 9), dtype=np.int64), P) == 0

@@ -91,6 +91,15 @@ def test_coerce_point_errors():
         coerce_point(s, (np.array([1, 2, 3]), np.array([1, 2])), P)
 
 
+def test_coerce_point_rejects_non_integer_coordinates():
+    # a cast would have truncated 2.9 to 2
+    s = ProductShape((1, 1))
+    with pytest.raises(ValueError, match="expected integer entries, got float64"):
+        coerce_point(s, ([1, 2.9], [1, 2]), P)
+    with pytest.raises(ValueError, match="got <U1"):
+        coerce_point(s, ([1, 2], ["1", "2"]), P)
+
+
 def test_random_point_nonzero_and_deterministic():
     s = ProductShape((1, 2, 3))
     a = random_point(s, SplitMix64(42), P)

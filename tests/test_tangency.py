@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import contact_oracle as oracle
 from contact_oracle import first_order_residuals
 from echelon_oracle import matmul_mod
+from segreid import terracini
 from segreid.bounds import CITE_EXCEPTION_M5K4, NOTE_M6_K9, SPECIAL_CELLS
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
 from segreid.segre import ProductShape, random_point
@@ -76,6 +79,29 @@ def test_contact_corank_rejects_non_contact_point():
     stranger = random_point(s, SplitMix64(1234), P)
     with pytest.raises(ValueError):
         contact_corank(s, ker[0], stranger, P)
+
+
+@pytest.mark.parametrize("probe", [secant_dim_probe, weak_defectivity_probe])
+def test_each_trial_matrix_is_freed_before_the_next_is_built(monkeypatch, probe):
+    # m=4 k=2 is defective, so all three trials run
+    built = []
+
+    def build(*args):
+        alive = [i for i, ref in enumerate(built) if ref() is not None]
+        assert not alive, f"trial {alive} matrix alive while trial {len(built)} is built"
+        mat = terracini_matrix(*args)
+        built.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(terracini, "terracini_matrix", build)
+    assert probe(ProductShape.binary(4), 2, trials=3).defect == 1
+    assert len(built) == 3
+
+
+def test_hyperplane_rejects_non_integer_entries():
+    s, pts, ker = points_and_kernel(5, 4)
+    with pytest.raises(ValueError, match="expected integer entries, got float64"):
+        contact_corank(s, ker[0] + 0.5, pts[0], P)
 
 
 def test_corank_chart_independent():

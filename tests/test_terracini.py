@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_terracini_matrix_single_point_rank():
 def test_terracini_matrix_rejects_empty():
     with pytest.raises(ValueError):
         terracini_matrix(ProductShape.binary(3), [], P)
+
+
+def test_rank_probe_holds_one_int32_matrix():
+    # the 1034x1024 Terracini matrix of m=10 k=93 is factored in place as
+    # int32: the peak stays below one int64 copy of it, 8.47 MB
+    s = ProductShape.binary(10)
+    bound = 94 * (1 + s.dim) * (s.ambient_dim + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert secant_dim_probe(s, 93).defect == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound == 8_470_528
 
 
 def test_probe_three_lines_fills():
