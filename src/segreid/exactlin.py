@@ -22,9 +22,15 @@ factored by the pivot loop alone.  Kernel vectors, one or a whole
 basis, come from one block back-substitution on the factored form
 (``_kernel``).  The products run on float64 BLAS, one per limb of the
 left factor (``_matmul_mod``): every limb sum stays below 2**53, where
-float64 is exact, and the limbs are recombined in int64 below
-2**54 + 2**31, so the results do not depend on the summation order,
-the thread count or the BLAS build.
+float64 is exact, so the results do not depend on the summation order,
+the thread count or the BLAS build.  The limbs are recombined in int64
+where their weights cost least.  Where the right operand is smaller
+than the result, as in the trailing update of the rows below the
+pivots, it carries the weights, and the limb products are summed below
+2**58 and reduced once; otherwise, as in the back-substitution, Horner's
+rule on the result stays below 2**54 + 2**31 and reduces once per limb.
+An elimination allocates one workspace for all its products
+(``_workspace``), so they allocate nothing.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and a kernel vector is fixed by
@@ -141,58 +147,102 @@ _SUB = 16
 # elimination, whose bookkeeping costs more than it saves on a
 # matrix of two panels.
 _PLAIN_MAX_COLS = 2 * _PANEL
-# Columns per slab of the trailing update, which bounds its temporaries.
+# Columns per slab of the trailing update.  With _PANEL and the row
+# count it sizes the one workspace of an elimination's products.
 _SLAB = 128
 # Largest inner dimension of _matmul_mod: its limbs are then 2 bits wide,
 # 16 BLAS products.
 _MAX_INNER = 1 << 20
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
+def _workspace(rows: int, inner: int, cols: int, weigh_y: bool = True) -> tuple[np.ndarray, ...]:
+    """Flat buffers for ``_matmul_mod`` products of at most
+    ``(rows, inner) @ (inner, cols)``: the float64 limb, the int64 and
+    the float64 right operand, the float64 product and the int64
+    accumulator.  The int64 right operand, which only weighing ``y``
+    uses, is empty without ``weigh_y``."""
+    return (
+        np.empty(rows * inner),
+        np.empty(inner * cols if weigh_y else 0, dtype=np.int64),
+        np.empty(inner * cols),
+        np.empty(rows * cols),
+        np.empty(rows * cols, dtype=np.int64),
+    )
+
+
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
+                weigh_y=None) -> np.ndarray:
     """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
     For inner dimension n, ``x`` is split into limbs of
     ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole: each
     limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, exact
-    in any order.  Horner's rule from the top limb down recombines them
-    in int64, ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``,
-    reduced once per limb.  Inner dimensions up to 64 take 2 limbs, up
-    to 2048 take 3.  With ``plus``, residues of the result's shape, the
-    result is ``(plus + x @ y) mod p`` at no extra reduction: the last
-    Horner step adds ``plus``, so the value stays below
-    ``2**54 + 2**31``.  Every value reduced is nonnegative, which keeps
-    np.remainder fast: on int64 it takes about the same time on
-    nonnegative and on all-negative input, and nearly three times as
-    long on mixed signs.  The limb and product temporaries are allocated
-    once per call and reused.  Raises ValueError above ``_MAX_INNER``.
+    in any order.  Inner dimensions up to 64 take 2 limbs, up to 2048
+    take 3, and ``_MAX_INNER`` takes 16.  The limb weights go on ``y``
+    when it has fewer rows than the result, so is the smaller, and on
+    the result otherwise; at equal sizes that measured the faster.
+    ``weigh_y`` forces the choice.
+
+    - on ``y``: limb i of ``x`` meets ``y_i = 2**(b*i) * y mod p``, and
+      the limb products are summed in int64 below
+      ``16 * 2**53 + 2**31 < 2**58``, so the result is reduced once;
+    - on the result: Horner's rule from the top limb down in int64,
+      ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``, reduced once
+      per limb.
+
+    With ``plus``, residues of the result's shape, the result is
+    ``(plus + x @ y) mod p`` at no extra reduction: ``plus`` is added
+    before the last one, below ``2**58`` or ``2**54 + 2**31``.  Every
+    value reduced is nonnegative, which keeps np.remainder fast: on
+    int64 it takes about the same time on nonnegative and on
+    all-negative input, and nearly three times as long on mixed signs.
+    The temporaries are views of ``work``, a ``_workspace`` at least
+    this large, and so is the result, which the next call with ``work``
+    overwrites; without ``work`` they are allocated afresh, and the
+    result is the caller's own.  Raises ValueError above ``_MAX_INNER``.
     """
-    n = x.shape[1]
+    rows, n = x.shape
+    cols = y.shape[1]
     if n > _MAX_INNER:
         raise ValueError(
             f"inner dimension {n} above {_MAX_INNER}: limbs would be under 2 bits wide"
         )
+    if weigh_y is None:
+        weigh_y = n < rows
+    if work is None:
+        work = _workspace(rows, n, cols, weigh_y)
+    shapes = [(rows, n), (n if weigh_y else 0, cols), (n, cols), (rows, cols), (rows, cols)]
+    limbf, yi, yf, part, acc = (
+        buf[: r * c].reshape(r, c) for buf, (r, c) in zip(work, shapes)
+    )
     b = 22 - (n - 1).bit_length()
-    yf = y.astype(np.float64)
-    limb = np.empty(x.shape, dtype=x.dtype)
-    limbf = np.empty(x.shape)
-    part = np.empty((x.shape[0], y.shape[1]))
-    ipart = np.empty(part.shape, dtype=np.int64)
-    acc = np.empty(part.shape, dtype=np.int64)
     top = ((p - 1).bit_length() - 1) // b * b
-    for shift in range(top, -1, -b):
-        np.right_shift(x, shift, out=limb)
-        np.bitwise_and(limb, (1 << b) - 1, out=limb)
-        limbf[...] = limb
-        np.matmul(limbf, yf, out=part)
+    shifts = range(0, top + 1, b) if weigh_y else range(top, -1, -b)
+    yf[...] = y
+    for shift in shifts:
+        # limb (x >> shift) mod 2**b, converted to float64 as it is
+        # stored; the top limb is below 2**b unmasked
         if shift == top:
+            np.right_shift(x, shift, out=limbf)
+        else:
+            np.bitwise_and(x, ((1 << b) - 1) << shift, out=limbf)
+            np.multiply(limbf, 2.0**-shift, out=limbf)
+        if weigh_y and shift:
+            np.left_shift(y, shift, out=yi, dtype=np.int64)
+            np.remainder(yi, p, out=yf)
+        np.matmul(limbf, yf, out=part)
+        if shift == shifts[0]:
             acc[...] = part
         else:
-            ipart[...] = part
-            np.left_shift(acc, b, out=acc)
-            acc += ipart
-        if shift == 0 and plus is not None:
-            acc += plus
-        np.remainder(acc, p, out=acc)
+            if not weigh_y:
+                np.left_shift(acc, b, out=acc)
+            # exact, since part < 2**53
+            np.add(acc, part, out=acc, dtype=np.int64, casting="unsafe")
+        if not weigh_y and shift:
+            np.remainder(acc, p, out=acc)
+    if plus is not None:
+        acc += plus
+    np.remainder(acc, p, out=acc)
     return acc
 
 
@@ -257,14 +307,21 @@ def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
     return _lower_inverse(t, p).T
 
 
-def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) -> None:
+def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int,
+            work: tuple[np.ndarray, ...]) -> None:
     """Carry the pivots ``piv``, factored on rows from ``r0``, to columns ``[c1, c2)``.
 
     L11 is the pivot rows' lower triangle in the pivot columns (its
     diagonal the pivots) and L21 the multipliers below it.  Slab by
     slab, the pivot rows become ``U12 = L11^-1 A12`` and the rows below
     ``A22 - L21 U12``, which is ``A22 + (-L21) U12``: L21, a copy since
-    ``piv`` is a list, is negated in place once.
+    ``piv`` is a list, is negated in place once.  Both products take
+    their temporaries from ``work``, a ``_workspace`` for
+    ``(rows, _PANEL, _SLAB)``, so they allocate nothing; only the rows
+    below, gathered by index when some hold no multiplier, are copied.
+    The right operand of the second, the slab of the pivot rows, has
+    ``len(piv)`` rows, usually fewer than the rows below, so that
+    product carries the limb weights on it and is reduced once.
     """
     r1 = r0 + len(piv)
     linv = _lower_inverse(a[r0:r1, piv], p)
@@ -277,8 +334,8 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int) ->
     np.subtract(p, l21, out=l21, where=l21 != 0)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
-        a[r0:r1, s] = _matmul_mod(linv, a[r0:r1, s], p)
-        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s])
+        a[r0:r1, s] = _matmul_mod(linv, a[r0:r1, s], p, work=work)
+        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s], work=work)
 
 
 def _eliminate(a: np.ndarray, p: int) -> list[int]:
@@ -294,14 +351,16 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     factored in panels of ``_PANEL`` columns, each as sub-panels of
     ``_SUB`` columns: the pivot loop factors a sub-panel, ``_update``
     carries its pivots to the rest of the panel, and then the panel's
-    pivots to the columns right of it.  Narrower matrices take the pivot
-    loop alone.
+    pivots to the columns right of it.  Every ``_update`` of one
+    elimination shares one workspace, allocated here.  Narrower matrices
+    take the pivot loop alone.
     """
     cols = a.shape[1]
     if cols <= _PLAIN_MAX_COLS:
         pivots = _pivot_loop(a, p, 0, 0, cols)
     else:
         pivots = []
+        work = _workspace(a.shape[0], _PANEL, _SLAB)
         for c0 in range(0, cols, _PANEL):
             c1 = min(c0 + _PANEL, cols)
             r0 = len(pivots)
@@ -309,10 +368,10 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
                 s1 = min(s0 + _SUB, c1)
                 piv = _pivot_loop(a, p, len(pivots), s0, s1)
                 if piv and s1 < c1:
-                    _update(a, p, len(pivots), piv, s1, c1)
+                    _update(a, p, len(pivots), piv, s1, c1, work)
                 pivots += piv
             if len(pivots) > r0 and c1 < cols:
-                _update(a, p, r0, pivots[r0:], c1, cols)
+                _update(a, p, r0, pivots[r0:], c1, cols, work)
     return pivots
 
 

@@ -12,10 +12,17 @@ the probe's hyperplane, and three.  Matrices wider than
 twice, once routed by width and once with the blocked path forced.
 The factored int32 matrix itself must equal the oracle's unblocked
 int64 CUP form value for value, with entries at the int32 limit and on
-Terracini matrices.
+Terracini matrices.  ``_matmul_mod`` must be exact with its limb
+weights on either operand, and an elimination's workspace must neither
+leak into a product a caller keeps nor be handed back to the system
+between products.
 """
 
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,16 +173,17 @@ def test_limb_product_rejects_inner_dimension_above_limit():
 def test_limb_product_exact_at_limb_count_boundaries(n):
     # n = 64, 2048 and 2**20 are the largest inner dimensions taking 2, 3
     # and 16 limbs; entries near 2**31 fill every limb, and odd entries
-    # make odd products, so a sum past 2**53 would round
+    # make odd products, so a sum past 2**53 would round; the limb
+    # weights go on y and on the result
     p = 2**31 - 1
     rng = np.random.default_rng([19, n])
     x = np.full((2, n), p - 1, dtype=np.int64)
     x[1] = rng.integers(p - 2**16, p, n)
     y = np.full((n, 2), p - 1, dtype=np.int64)
     y[:, 1] = rng.integers(p - 2**16, p, n)
-    got = exactlin._matmul_mod(x, y, p)
     want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
-    assert got.tolist() == want
+    for weigh_y in (True, False):
+        assert exactlin._matmul_mod(x, y, p, weigh_y=weigh_y).tolist() == want
 
 
 def assert_cup_matches_oracle(m, p):
@@ -235,10 +243,12 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
 
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
-@pytest.mark.parametrize("n", [1, 64, 65, 2048])
+@pytest.mark.parametrize("n", [1, 64, 65, 2048, 2049, 1 << 20])
 def test_limb_product_with_plus_exact(n, p):
-    # entries p - 1 and odd entries fill every limb; plus rows of 0,
-    # p - 1 and random residues reach both ends of the last Horner step
+    # entries p - 1 and odd entries fill every limb; plus rows of p - 1,
+    # 0 and random residues reach both ends of the last reduction, and
+    # row 0, every entry and plus p - 1, reaches the largest value.  Both
+    # placements of the limb weights are forced, on y and on the result.
     rng = np.random.default_rng([29, n, p])
     odd = min(p // 2, 2**15)
     x = np.full((3, n), p - 1, dtype=np.int64)
@@ -248,12 +258,17 @@ def test_limb_product_with_plus_exact(n, p):
     y[:, 1] = p - 2 - 2 * rng.integers(0, odd, n)
     y[:, 2] = rng.integers(0, p, n)
     plus = rng.integers(0, p, (3, 3))
-    plus[0] = 0
-    plus[1] = p - 1
-    got = exactlin._matmul_mod(x, y, p, plus=plus)
+    plus[0] = p - 1
+    plus[1] = 0
     prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
     want = [[(int(pv) + v) % p for pv, v in zip(prow, row)] for prow, row in zip(plus, prod)]
-    assert got.dtype == np.int64 and got.tolist() == want
+    for weigh_y in (True, False):
+        got = exactlin._matmul_mod(x, y, p, plus=plus, weigh_y=weigh_y)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # without a workspace the result is the caller's own: the next
+        # product leaves it intact, as tangency._hessians needs
+        exactlin._matmul_mod(x[:, :1], y[:1], p, plus=plus, weigh_y=weigh_y)
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("diagonal", [P31 - 1, P31 - 2])
@@ -285,11 +300,42 @@ def test_lower_inverse_at_int32_limit_matches_oracle(k):
     assert exactlin._lower_inverse(t, P31).tolist() == want[:, k:].tolist()
 
 
-@pytest.mark.parametrize("m, k", [(6, 8), (7, 14), (8, 27), (9, 27), (10, 40)])
+@pytest.mark.parametrize("m, k", [(6, 8), (7, 14), (8, 27), (9, 27), (10, 40), (10, 50)])
 def test_terracini_matrices_factor_as_oracle(m, k):
-    # the plain path at m = 6, 7 and the blocked one above
+    # the plain path at m = 6, 7 and the blocked one above; two copies
+    # factored one after the other in one process share no buffer
     mat = binary_terracini(m, k, P31)
     want, pivots = cup(mat, P31)
     assert mat.dtype == np.int32
-    assert exactlin._eliminate(mat, P31) == pivots
-    assert mat.tolist() == want.tolist()
+    copies = [mat, mat.copy()]
+    assert [exactlin._eliminate(a, P31) for a in copies] == [pivots, pivots]
+    for a in copies:
+        assert a.tolist() == want.tolist()
+
+
+# The first factorisation of the fill-evidence matrix (binary m=10, k=93,
+# seed 0) in a fresh interpreter, and the minor page faults it takes.
+FIRST_ELIMINATION = """
+import resource
+from segreid.exactlin import _eliminate
+from segreid.segre import ProductShape
+from segreid.terracini import _trials
+p = 2**31 - 1
+_, _, mat = next(_trials(ProductShape.binary(10), 93, 1, p, 0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert len(_eliminate(mat, p)) == 1024
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_first_elimination_in_a_process_reuses_its_workspace():
+    # one workspace per elimination: about 900 faults, a few hundred more
+    # than its buffers' pages; temporaries handed back to the system after
+    # every product took about 30000
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", FIRST_ELIMINATION],
+                         capture_output=True, text=True, env=env, check=True)
+    assert int(run.stdout) < 8000

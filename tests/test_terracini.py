@@ -6,6 +6,7 @@ import pytest
 
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
 from segreid.segre import ProductShape, random_point
+from segreid.tangency import weak_defectivity_probe
 from segreid.terracini import (
     DEFECT_CANDIDATE,
     DEFECT_EVIDENCE,
@@ -68,6 +69,24 @@ def test_rank_probe_holds_one_int32_matrix():
     finally:
         tracemalloc.stop()
     assert peak < bound == 8_470_528
+
+
+def test_tangency_probe_holds_one_int32_matrix():
+    # probe-m10's first cell, whose elimination's workspace is sized for
+    # all 451 rows of its 451x1024 matrix: the peak (3.11 MB with fresh
+    # temporaries per product, 3.48 MB with the workspace) stays below
+    # one int64 copy of the matrix, 3.69 MB
+    s = ProductShape.binary(10)
+    bound = 41 * (1 + s.dim) * (s.ambient_dim + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert weak_defectivity_probe(s, 40).certified
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound == 3_694_592
 
 
 def test_probe_three_lines_fills():
