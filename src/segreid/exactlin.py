@@ -17,13 +17,21 @@ first-nonzero-pivot loop factors each 16-column sub-panel of each
 64-column panel, keeping every multiplier in the entry it zeroes (the L
 factor); the columns right of a block receive the block's row
 operations as two products, ``U12 = L11^-1 A12`` and
-``A22 - L21 U12``.  A matrix of at most ``_PLAIN_MAX_COLS`` columns is
-factored by the pivot loop alone.  Kernel vectors, one or a whole
-basis, come from one block back-substitution on the factored form
-(``_kernel``).  The products run on float64 BLAS, one per limb of the
-left factor (``_matmul_mod``): every limb sum stays below 2**53, where
-float64 is exact, so the results do not depend on the summation order,
-the thread count or the BLAS build.  The limbs are recombined in int64
+``A22 - L21 U12``.  A sub-panel is factored first on a window, the
+next 64 rows across the rest of its panel (``_window``): the first
+nonzero at or below a row lies in the window exactly when the window's
+column has one, so up to the first column with none the window finds
+the pivots and row swaps of the whole matrix, and the rows below it
+take their multipliers and the rest of the panel as two products.  The
+columns from there, and a sub-panel whose window would reach the last
+row, take the pivot loop on all rows.  A matrix of at most
+``_PLAIN_MAX_COLS`` columns is factored by the pivot loop alone.
+Kernel vectors, one or a whole basis, come from one block
+back-substitution on the factored form (``_kernel``).  The products run
+on float64 BLAS, one per limb of the left factor (``_matmul_mod``):
+every limb sum stays below 2**53, where float64 is exact, so the
+results do not depend on the summation order, the thread count or the
+BLAS build.  The limbs are recombined in int64
 where their weights cost least.  Where the right operand is smaller
 than the result, as in the trailing update of the rows below the
 pivots, it carries the weights, and the limb products are summed below
@@ -141,7 +149,8 @@ def _as_matrix(mat, p: int) -> np.ndarray:
 # Columns per elimination panel.
 _PANEL = 64
 # Columns per sub-panel: each panel is factored as sub-panels this wide,
-# so the pivot loop's row updates stay this narrow.
+# so the pivot loop's row updates on all rows stay this narrow; only on a
+# window of _PANEL rows do they span the rest of the panel.
 _SUB = 16
 # Up to this width the pivot loop alone is faster than the blocked
 # elimination, whose bookkeeping costs more than it saves on a
@@ -246,36 +255,43 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     return acc
 
 
-def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int) -> list[int]:
+def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int, c2: int | None = None,
+                stop: bool = False) -> list[int]:
     """Factor columns ``[c0, c1)`` of ``a`` from row ``r`` down, in place.
 
     Returns the pivot columns.  Pivot choice is the first nonzero entry
     of the column; its row is swapped whole up to row r.  The pivot d
     stays in place, as L's diagonal, and the pivot row is divided by d
-    right of it, up to c1.  Each row below with a nonzero entry f in the
-    pivot column subtracts f times the pivot row there, with f widened
-    to int64 and one reduction per residue product, and keeps f, its
-    multiplier in L.  Columns from c1 are left to ``_update``.
+    right of it, up to ``c2`` (``c1`` by default).  Each row below with
+    a nonzero entry f in the pivot column subtracts f times the pivot
+    row there, with f widened to int64 and one reduction per residue
+    product, and keeps f, its multiplier in L.  Columns from ``c2`` are
+    left to ``_update``.  A column with no nonzero entry from row r down
+    is skipped, or with ``stop`` ends the loop: on a window of the rows,
+    its first nonzero may lie below the window.
     """
     rows = a.shape[0]
+    c2 = c1 if c2 is None else c2
     pivots: list[int] = []
     for c in range(c0, c1):
         if r == rows:
             break
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
+            if stop:
+                break
             continue
         if nz[0]:
             piv = r + int(nz[0])
             a[[r, piv]] = a[[piv, r]]
-        u = a[r, c + 1 : c1]
+        u = a[r, c + 1 : c2]
         u[...] = u * np.int64(pow(int(a[r, c]), -1, p)) % p
         # the swapped-down row is zero in column c, so the rows below
         # with a nonzero there are the rest of nz
         hit = r + nz[1:]
         if hit.size:
             f = a[hit, c, None].astype(np.int64)
-            a[hit, c + 1 : c1] = (a[hit, c + 1 : c1] - f * u) % p
+            a[hit, c + 1 : c2] = (a[hit, c + 1 : c2] - f * u) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -338,6 +354,48 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int,
         a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s], work=work)
 
 
+def _window(a: np.ndarray, p: int, r: int, s0: int, s1: int, c1: int,
+            work: tuple[np.ndarray, ...]) -> list[int]:
+    """Factor the sub-panel ``[s0, s1)`` from row ``r`` on its window, in place.
+
+    The window is an int64 copy of rows ``[r, r + _PANEL)`` in columns
+    ``[s0, c1)``, the sub-panel and the rest of its panel; the caller
+    leaves rows below it.  The pivot loop factors the window across that
+    width and stops at the first column with no nonzero entry in it from
+    the next pivot row down.  The first nonzero from that row down lies
+    in the window exactly when the window's column has one, so the
+    columns before are the pivots of the plain loop, found in the same
+    rows, and the window's rows receive its row operations.  Its row
+    swaps, tracked by the row numbers the window carries in one more
+    column, are applied to whole rows of ``a``.  A row x below the
+    window holds ``f U11`` in the k pivot columns, f its multipliers and
+    U11 the pivot rows' unit upper triangle there, so two products on
+    ``work``, a ``_workspace`` for ``(rows, _PANEL, _SLAB)``, give it
+    ``f = x U11^-1`` and the rest of the panel, ``x' + f (-U12)``.
+    Returns the pivot columns, ``s0`` onward; the caller factors the
+    rest of the sub-panel on all rows.
+    """
+    h = _PANEL
+    w = np.empty((h, c1 - s0 + 1), dtype=np.int64)
+    w[:, :-1] = a[r : r + h, s0:c1]
+    w[:, -1] = np.arange(h)
+    k = len(_pivot_loop(w, p, 0, 0, s1 - s0, c1 - s0, stop=True))
+    if not k:
+        return []
+    order = w[:, -1]
+    moved = np.flatnonzero(order != np.arange(h))
+    a[r + moved] = a[r + order[moved]]
+    a[r : r + h, s0:c1] = w[:, :-1]
+    below, t = slice(r + h, None), s0 + k
+    a[below, s0:t] = _matmul_mod(a[below, s0:t], _unit_upper_inverse(w[:k, :k], p), p,
+                                 work=work)
+    if t < c1:
+        u12 = w[:k, k:-1]
+        np.subtract(p, u12, out=u12, where=u12 != 0)
+        a[below, t:c1] = _matmul_mod(a[below, s0:t], u12, p, plus=a[below, t:c1], work=work)
+    return list(range(s0, t))
+
+
 def _eliminate(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of the residue matrix ``a``, factored in place.
 
@@ -349,27 +407,39 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     the rows above, which hold L's multipliers; the rows past the rank
     hold multipliers only.  A matrix wider than ``_PLAIN_MAX_COLS`` is
     factored in panels of ``_PANEL`` columns, each as sub-panels of
-    ``_SUB`` columns: the pivot loop factors a sub-panel, ``_update``
-    carries its pivots to the rest of the panel, and then the panel's
-    pivots to the columns right of it.  Every ``_update`` of one
-    elimination shares one workspace, allocated here.  Narrower matrices
-    take the pivot loop alone.
+    ``_SUB`` columns.  While rows remain below the next ``_PANEL``,
+    ``_window`` factors a sub-panel on those rows across the rest of the
+    panel and stops at its first column without a pivot there; it keeps
+    the pivots because a column's first nonzero from the next pivot row
+    down lies in the window exactly when the window's column has one.
+    From that column, or from the sub-panel's first when no rows remain
+    below the window, the pivot loop factors the rest of the sub-panel
+    on all rows and ``_update`` carries its pivots to the rest of the
+    panel.  Then ``_update`` carries the panel's pivots to the columns
+    right of it.  Every product of one elimination shares one
+    workspace, allocated here.  Narrower matrices take the pivot loop
+    alone.
     """
-    cols = a.shape[1]
+    rows, cols = a.shape
     if cols <= _PLAIN_MAX_COLS:
         pivots = _pivot_loop(a, p, 0, 0, cols)
     else:
         pivots = []
-        work = _workspace(a.shape[0], _PANEL, _SLAB)
+        work = _workspace(rows, _PANEL, _SLAB)
         for c0 in range(0, cols, _PANEL):
             c1 = min(c0 + _PANEL, cols)
             r0 = len(pivots)
             for s0 in range(c0, c1, _SUB):
                 s1 = min(s0 + _SUB, c1)
-                piv = _pivot_loop(a, p, len(pivots), s0, s1)
-                if piv and s1 < c1:
-                    _update(a, p, len(pivots), piv, s1, c1, work)
-                pivots += piv
+                if len(pivots) + _PANEL < rows:
+                    piv = _window(a, p, len(pivots), s0, s1, c1, work)
+                    pivots += piv
+                    s0 += len(piv)
+                if s0 < s1:
+                    piv = _pivot_loop(a, p, len(pivots), s0, s1)
+                    if piv and s1 < c1:
+                        _update(a, p, len(pivots), piv, s1, c1, work)
+                    pivots += piv
             if len(pivots) > r0 and c1 < cols:
                 _update(a, p, r0, pivots[r0:], c1, cols, work)
     return pivots

@@ -11,11 +11,12 @@ the probe's hyperplane, and three.  Matrices wider than
 ``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
 twice, once routed by width and once with the blocked path forced.
 The factored int32 matrix itself must equal the oracle's unblocked
-int64 CUP form value for value, with entries at the int32 limit and on
-Terracini matrices.  ``_matmul_mod`` must be exact with its limb
-weights on either operand, and an elimination's workspace must neither
-leak into a product a caller keeps nor be handed back to the system
-between products.
+int64 CUP form value for value, with entries at the int32 limit, on
+Terracini matrices and where a sub-panel's window falls back to the
+pivot loop or ends at the last row.  ``_matmul_mod`` must be exact with
+its limb weights on either operand, and an elimination's workspace must
+neither leak into a product a caller keeps nor be handed back to the
+system between products.
 """
 
 import operator
@@ -242,6 +243,57 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
     assert assert_cup_matches_oracle(m, p) == NB + 2 * SUB
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    # (first row, first column, pivots found) of each window factored
+    calls = []
+    window = exactlin._window
+
+    def spy(a, p, r, s0, *args):
+        piv = window(a, p, r, s0, *args)
+        calls.append((r, s0, len(piv)))
+        return piv
+
+    monkeypatch.setattr(exactlin, "_window", spy)
+    return calls
+
+
+def factor_with_windows(m, p, windows):
+    # the factored matrix equals the oracle's; returns the pivots and the
+    # windows of one elimination
+    a, pivots, _ = assert_echelon_matches_oracle(m, p)
+    assert a.tolist() == cup(m, p)[0].tolist()
+    windows.clear()
+    exactlin._eliminate(exactlin._as_matrix(m, p), p)
+    return pivots, list(windows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_window_falls_back_mid_sub_panel(windows, p):
+    # in the window column 5 repeats column 0, so it has no pivot there once
+    # columns 0 to 4 have theirs; its pivot lies below the window, and the
+    # pivot loop takes the rest of the sub-panel over all rows
+    rng = np.random.default_rng([31, p])
+    m = rng.integers(0, p, (NB + SUB + 9, 3 * NB + 5))
+    m[:NB, 5] = m[:NB, 0]
+    pivots, calls = factor_with_windows(m, p, windows)
+    assert pivots[:SUB] == list(range(SUB))
+    assert calls[0] == (0, 0, 5)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rows", [NB + SUB, NB + SUB + 1])
+def test_window_at_the_last_rows(windows, rows, p):
+    # the second sub-panel starts at row SUB: with NB + SUB rows its window
+    # would end at the last row, so the pivot loop takes it; one row more
+    # leaves a window with one row below it
+    rng = np.random.default_rng([37, rows, p])
+    m = rng.integers(0, p, (rows, 3 * NB + 5))
+    pivots, calls = factor_with_windows(m, p, windows)
+    assert pivots[: 2 * SUB] == list(range(2 * SUB))
+    assert calls == [(0, 0, SUB), (SUB, SUB, SUB)][: rows - NB - SUB + 1]
+
+
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
 @pytest.mark.parametrize("n", [1, 64, 65, 2048, 2049, 1 << 20])
 def test_limb_product_with_plus_exact(n, p):
@@ -271,39 +323,49 @@ def test_limb_product_with_plus_exact(n, p):
         assert got.tolist() == want
 
 
-@pytest.mark.parametrize("diagonal", [P31 - 1, P31 - 2])
+@pytest.mark.parametrize("diagonal", [P31 - 1, P31 - 2, 0])
 @pytest.mark.parametrize("cols", [CROSSOVER, 3 * NB + 5])
 def test_entries_at_int32_limit_match_oracle(path, cols, diagonal):
     # every entry p - 1, so any product taken in int32 would wrap; with
-    # p - 2 on the diagonal the top square is -(J + I), of full rank
-    m = np.full((cols + 3, cols), P31 - 1, dtype=np.int64)
-    np.fill_diagonal(m, diagonal)
-    a, pivots, basis = assert_echelon_matches_oracle(m, P31)
-    assert len(pivots) == (1 if diagonal == P31 - 1 else cols)
-    assert a.tolist() == cup(m, P31)[0].tolist()
-    # free coordinates 0, the identity's and all p - 1
-    nf = len(basis)
-    xf = np.hstack([np.zeros((nf, 1), dtype=np.int64), np.eye(nf, dtype=np.int64),
-                    np.full((nf, 1), P31 - 1)])
-    x = exactlin._kernel(a, pivots, xf, P31)
-    want = np.vstack([np.zeros((1, cols), dtype=np.int64), basis,
-                      -basis.sum(axis=0, keepdims=True) % P31])
-    assert x.dtype == np.int32 and x.T.tolist() == want.tolist()
+    # p - 2 on the diagonal the top square is -(J + I), of full rank, and
+    # with 0 it is -(J - I), of full rank, whose first pivot lies below the
+    # diagonal, so a window swaps rows.  Blocked, with 2 * NB more rows
+    # than columns every sub-panel factors on a window, and its rows
+    # below take both products.
+    for rows in (cols + 3, cols + 2 * NB):
+        m = np.full((rows, cols), P31 - 1, dtype=np.int64)
+        np.fill_diagonal(m, diagonal)
+        a, pivots, basis = assert_echelon_matches_oracle(m, P31)
+        assert len(pivots) == (1 if diagonal == P31 - 1 else cols)
+        assert a.tolist() == cup(m, P31)[0].tolist()
+        # free coordinates 0, the identity's and all p - 1
+        nf = len(basis)
+        xf = np.hstack([np.zeros((nf, 1), dtype=np.int64), np.eye(nf, dtype=np.int64),
+                        np.full((nf, 1), P31 - 1)])
+        x = exactlin._kernel(a, pivots, xf, P31)
+        want = np.vstack([np.zeros((1, cols), dtype=np.int64), basis,
+                          -basis.sum(axis=0, keepdims=True) % P31])
+        assert x.dtype == np.int32 and x.T.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("k", [1, SUB, NB])
 def test_lower_inverse_at_int32_limit_matches_oracle(k):
-    # the pivot block as stored, every entry p - 1; the oracle reduces [L | I]
+    # the pivot block as stored, every entry p - 1; the oracle reduces
+    # [L | I], and [U | I] for the unit upper triangle a window inverts
     t = np.full((k, k), P31 - 1, dtype=np.int32)
-    lower = np.tril(t.astype(np.int64))
-    want = _echelon(np.hstack([lower, np.eye(k, dtype=np.int64)]), P31, reduced=True)[0]
-    assert exactlin._lower_inverse(t, P31).tolist() == want[:, k:].tolist()
+    eye = np.eye(k, dtype=np.int64)
+    for inverse, tri in ((exactlin._lower_inverse, np.tril(t.astype(np.int64))),
+                         (exactlin._unit_upper_inverse, np.triu(t.astype(np.int64), 1) + eye)):
+        want = _echelon(np.hstack([tri, eye]), P31, reduced=True)[0]
+        assert inverse(t, P31).tolist() == want[:, k:].tolist()
 
 
 @pytest.mark.parametrize("m, k", [(6, 8), (7, 14), (8, 27), (9, 27), (10, 40), (10, 50)])
 def test_terracini_matrices_factor_as_oracle(m, k):
-    # the plain path at m = 6, 7 and the blocked one above; two copies
-    # factored one after the other in one process share no buffer
+    # the plain path at m = 6, 7 and the blocked one above, where m = 10
+    # takes 25 windows, 3 of them falling back, at k = 40 and 32, 5 of
+    # them falling back, at k = 50; two copies factored one after the
+    # other in one process share no buffer
     mat = binary_terracini(m, k, P31)
     want, pivots = cup(mat, P31)
     assert mat.dtype == np.int32

@@ -1,12 +1,15 @@
 """Certificate digests pinned across versions.
 
-``golden/digests.json`` holds, for seven CLI runs at seed 0, the exit
+``golden/digests.json`` holds, for nine CLI runs at seed 0, the exit
 code and the content digest of every certificate printed: two probes
 and two ``reproduce`` cases recorded with the unblocked row-by-row
 elimination, ``sweep -m 4..6`` recorded before sweep certificates
-came from the shared certificate constructor, and probes of the
+came from the shared certificate constructor, probes of the
 shapes (1, 2, 3) and (2, 3, 3), the only cases with unequal factor
-sizes, recorded with the per-point contact contractions.  Any change to
+sizes, recorded with the per-point contact contractions, and the
+benchmark's binary m=10 probes at k=90 (a tangency probe) and k=93
+(a rank probe), recorded before sub-panels were factored on a window
+first.  Any change to
 how frames, ranks, kernels, coranks, verdicts or certificates are
 computed must reproduce them exactly.
 """
