@@ -17,14 +17,15 @@ first-nonzero-pivot loop factors each 16-column sub-panel of each
 64-column panel, keeping every multiplier in the entry it zeroes (the L
 factor); the columns right of a block receive the block's row
 operations as two products, ``U12 = L11^-1 A12`` and
-``A22 - L21 U12``.  A sub-panel is factored first on a window, the
-next 64 rows across the rest of its panel (``_window``): the first
-nonzero at or below a row lies in the window exactly when the window's
-column has one, so up to the first column with none the window finds
-the pivots and row swaps of the whole matrix, and the rows below it
-take their multipliers and the rest of the panel as two products.  The
-columns from there, and a sub-panel whose window would reach the last
-row, take the pivot loop on all rows.  A matrix of at most
+``A22 - L21 U12``.  Every step takes a view of the rows still to be
+pivoted, which the pivot loop factors in place, not a copy.  A
+sub-panel is factored first on a window, the next 64 rows or the last
+rows, across the rest of its panel (``_window``): the first nonzero at
+or below a row lies in the window exactly when the window's column has
+one, so up to the first column with none the window finds the pivots
+and row swaps of the whole matrix, and the rows below it take their
+multipliers and the rest of the panel as two products.  The columns
+from there take the pivot loop on all rows.  A matrix of at most
 ``_PLAIN_MAX_COLS`` columns is factored by the pivot loop alone.
 Kernel vectors, one or a whole basis, come from one block
 back-substitution on the factored form (``_kernel``).  The products run
@@ -255,25 +256,27 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     return acc
 
 
-def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int, c2: int | None = None,
+def _pivot_loop(a: np.ndarray, p: int, c0: int, c1: int, c2: int | None = None,
                 stop: bool = False) -> list[int]:
-    """Factor columns ``[c0, c1)`` of ``a`` from row ``r`` down, in place.
+    """Factor columns ``[c0, c1)`` of ``a``, in place, pivoting from its first row down.
 
-    Returns the pivot columns.  Pivot choice is the first nonzero entry
-    of the column; its row is swapped whole up to row r.  The pivot d
-    stays in place, as L's diagonal, and the pivot row is divided by d
-    right of it, up to ``c2`` (``c1`` by default).  Each row below with
-    a nonzero entry f in the pivot column subtracts f times the pivot
-    row there, with f widened to int64 and one reduction per residue
-    product, and keeps f, its multiplier in L.  Columns from ``c2`` are
-    left to ``_update``.  A column with no nonzero entry from row r down
-    is skipped, or with ``stop`` ends the loop: on a window of the rows,
-    its first nonzero may lie below the window.
+    ``a`` is a view of the rows still to be pivoted.  Returns the pivot
+    columns.  Pivot choice is the first nonzero entry of the column; its
+    row is swapped whole up to the next pivot row.  The pivot d stays in
+    place, as L's diagonal, and the pivot row is divided by d right of
+    it, up to ``c2`` (``c1`` by default).  Each row below with a nonzero
+    entry f in the pivot column subtracts f times the pivot row there,
+    with f widened to int64 and one reduction per residue product, and
+    keeps f, its multiplier in L.  Columns from ``c2`` are left to
+    ``_update``.  A column with no nonzero entry from the next pivot row
+    down is skipped, or with ``stop`` ends the loop: on a window of the
+    rows, its first nonzero may lie below the window.
     """
     rows = a.shape[0]
     c2 = c1 if c2 is None else c2
     pivots: list[int] = []
     for c in range(c0, c1):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -293,7 +296,6 @@ def _pivot_loop(a: np.ndarray, p: int, r: int, c0: int, c1: int, c2: int | None 
             f = a[hit, c, None].astype(np.int64)
             a[hit, c + 1 : c2] = (a[hit, c + 1 : c2] - f * u) % p
         pivots.append(c)
-        r += 1
     return pivots
 
 
@@ -323,13 +325,14 @@ def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
     return _lower_inverse(t, p).T
 
 
-def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int,
+def _update(a: np.ndarray, p: int, piv: list[int], c1: int, c2: int,
             work: tuple[np.ndarray, ...]) -> None:
-    """Carry the pivots ``piv``, factored on rows from ``r0``, to columns ``[c1, c2)``.
+    """Carry the pivots ``piv``, factored on ``a``'s first rows, to columns ``[c1, c2)``.
 
-    L11 is the pivot rows' lower triangle in the pivot columns (its
-    diagonal the pivots) and L21 the multipliers below it.  Slab by
-    slab, the pivot rows become ``U12 = L11^-1 A12`` and the rows below
+    ``a`` is a view of the rows from the first pivot row down.  L11 is
+    the pivot rows' lower triangle in the pivot columns (its diagonal
+    the pivots) and L21 the multipliers below it.  Slab by slab, the
+    pivot rows become ``U12 = L11^-1 A12`` and the rows below
     ``A22 - L21 U12``, which is ``A22 + (-L21) U12``: L21, a copy since
     ``piv`` is a list, is negated in place once.  Both products take
     their temporaries from ``work``, a ``_workspace`` for
@@ -339,60 +342,49 @@ def _update(a: np.ndarray, p: int, r0: int, piv: list[int], c1: int, c2: int,
     ``len(piv)`` rows, usually fewer than the rows below, so that
     product carries the limb weights on it and is reduced once.
     """
-    r1 = r0 + len(piv)
-    linv = _lower_inverse(a[r0:r1, piv], p)
-    l21 = a[r1:, piv]
+    k = len(piv)
+    linv = _lower_inverse(a[:k, piv], p)
+    l21 = a[k:, piv]
     hit = np.flatnonzero(l21.any(axis=1))
-    below = slice(r1, None)
+    below = slice(k, None)
     if hit.size < len(l21):
         # rows without a multiplier keep their entries
-        l21, below = l21[hit], r1 + hit
+        l21, below = l21[hit], k + hit
     np.subtract(p, l21, out=l21, where=l21 != 0)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
-        a[r0:r1, s] = _matmul_mod(linv, a[r0:r1, s], p, work=work)
-        a[below, s] = _matmul_mod(l21, a[r0:r1, s], p, plus=a[below, s], work=work)
+        a[:k, s] = _matmul_mod(linv, a[:k, s], p, work=work)
+        a[below, s] = _matmul_mod(l21, a[:k, s], p, plus=a[below, s], work=work)
 
 
-def _window(a: np.ndarray, p: int, r: int, s0: int, s1: int, c1: int,
+def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
             work: tuple[np.ndarray, ...]) -> list[int]:
-    """Factor the sub-panel ``[s0, s1)`` from row ``r`` on its window, in place.
+    """Factor the sub-panel ``[s0, s1)`` first on its window, in place.
 
-    The window is an int64 copy of rows ``[r, r + _PANEL)`` in columns
-    ``[s0, c1)``, the sub-panel and the rest of its panel; the caller
-    leaves rows below it.  The pivot loop factors the window across that
-    width and stops at the first column with no nonzero entry in it from
-    the next pivot row down.  The first nonzero from that row down lies
-    in the window exactly when the window's column has one, so the
-    columns before are the pivots of the plain loop, found in the same
-    rows, and the window's rows receive its row operations.  Its row
-    swaps, tracked by the row numbers the window carries in one more
-    column, are applied to whole rows of ``a``.  A row x below the
-    window holds ``f U11`` in the k pivot columns, f its multipliers and
-    U11 the pivot rows' unit upper triangle there, so two products on
-    ``work``, a ``_workspace`` for ``(rows, _PANEL, _SLAB)``, give it
-    ``f = x U11^-1`` and the rest of the panel, ``x' + f (-U12)``.
-    Returns the pivot columns, ``s0`` onward; the caller factors the
-    rest of the sub-panel on all rows.
+    ``a`` is a view of the rows still to be pivoted, and the window is
+    its first ``_PANEL`` rows, or all of them where fewer remain.  The
+    pivot loop factors the window, its row operations reaching the end
+    ``c1`` of the panel and its swaps moving whole rows, and stops at
+    the first column with no nonzero entry in it from the next pivot row
+    down.  The first nonzero from that row down lies in the window
+    exactly when the window's column has one, so the columns before are
+    the pivots of the plain loop, found in the same rows.  A row x below
+    the window holds ``f U11`` in the k pivot columns, f its multipliers
+    and U11 the pivot rows' unit upper triangle there, so two products
+    on ``work``, a ``_workspace`` for ``(rows, _PANEL, _SLAB)``, give it
+    ``f = x U11^-1`` and the rest of the panel, ``x' + f (-U12)``; with
+    no rows below, there is nothing to multiply.  Returns the pivot
+    columns, ``s0`` onward; the caller factors the rest of the
+    sub-panel on all rows.
     """
-    h = _PANEL
-    w = np.empty((h, c1 - s0 + 1), dtype=np.int64)
-    w[:, :-1] = a[r : r + h, s0:c1]
-    w[:, -1] = np.arange(h)
-    k = len(_pivot_loop(w, p, 0, 0, s1 - s0, c1 - s0, stop=True))
-    if not k:
-        return []
-    order = w[:, -1]
-    moved = np.flatnonzero(order != np.arange(h))
-    a[r + moved] = a[r + order[moved]]
-    a[r : r + h, s0:c1] = w[:, :-1]
-    below, t = slice(r + h, None), s0 + k
-    a[below, s0:t] = _matmul_mod(a[below, s0:t], _unit_upper_inverse(w[:k, :k], p), p,
-                                 work=work)
-    if t < c1:
-        u12 = w[:k, k:-1]
-        np.subtract(p, u12, out=u12, where=u12 != 0)
-        a[below, t:c1] = _matmul_mod(a[below, s0:t], u12, p, plus=a[below, t:c1], work=work)
+    k = len(_pivot_loop(a[:_PANEL], p, s0, s1, c1, stop=True))
+    below, t = a[_PANEL:], s0 + k
+    if k and len(below):
+        below[:, s0:t] = _matmul_mod(below[:, s0:t], _unit_upper_inverse(a[:k, s0:t], p), p,
+                                     work=work)
+        if t < c1:
+            below[:, t:c1] = _matmul_mod(below[:, s0:t], -a[:k, t:c1] % p, p,
+                                         plus=below[:, t:c1], work=work)
     return list(range(s0, t))
 
 
@@ -407,22 +399,22 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     the rows above, which hold L's multipliers; the rows past the rank
     hold multipliers only.  A matrix wider than ``_PLAIN_MAX_COLS`` is
     factored in panels of ``_PANEL`` columns, each as sub-panels of
-    ``_SUB`` columns.  While rows remain below the next ``_PANEL``,
-    ``_window`` factors a sub-panel on those rows across the rest of the
-    panel and stops at its first column without a pivot there; it keeps
-    the pivots because a column's first nonzero from the next pivot row
-    down lies in the window exactly when the window's column has one.
-    From that column, or from the sub-panel's first when no rows remain
-    below the window, the pivot loop factors the rest of the sub-panel
-    on all rows and ``_update`` carries its pivots to the rest of the
-    panel.  Then ``_update`` carries the panel's pivots to the columns
-    right of it.  Every product of one elimination shares one
-    workspace, allocated here.  Narrower matrices take the pivot loop
-    alone.
+    ``_SUB`` columns, every step on a view of the rows still to be
+    pivoted.  ``_window`` factors a sub-panel on the next ``_PANEL``
+    rows, or the last rows, across the rest of the panel and stops at
+    its first column without a pivot there; it keeps the pivots because
+    a column's first nonzero from the next pivot row down lies in the
+    window exactly when the window's column has one.  From that column
+    the pivot loop factors the rest of the sub-panel on all rows,
+    skipping a column with no nonzero, and ``_update`` carries its
+    pivots to the rest of the panel.  Then ``_update`` carries the
+    panel's pivots to the columns right of it.  Every product of one
+    elimination shares one workspace, allocated here.  Narrower
+    matrices take the pivot loop alone.
     """
     rows, cols = a.shape
     if cols <= _PLAIN_MAX_COLS:
-        pivots = _pivot_loop(a, p, 0, 0, cols)
+        pivots = _pivot_loop(a, p, 0, cols)
     else:
         pivots = []
         work = _workspace(rows, _PANEL, _SLAB)
@@ -431,17 +423,16 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
             r0 = len(pivots)
             for s0 in range(c0, c1, _SUB):
                 s1 = min(s0 + _SUB, c1)
-                if len(pivots) + _PANEL < rows:
-                    piv = _window(a, p, len(pivots), s0, s1, c1, work)
-                    pivots += piv
-                    s0 += len(piv)
+                piv = _window(a[len(pivots) :], p, s0, s1, c1, work)
+                pivots += piv
+                s0 += len(piv)
                 if s0 < s1:
-                    piv = _pivot_loop(a, p, len(pivots), s0, s1)
+                    piv = _pivot_loop(a[len(pivots) :], p, s0, s1)
                     if piv and s1 < c1:
-                        _update(a, p, len(pivots), piv, s1, c1, work)
+                        _update(a[len(pivots) :], p, piv, s1, c1, work)
                     pivots += piv
             if len(pivots) > r0 and c1 < cols:
-                _update(a, p, r0, pivots[r0:], c1, cols, work)
+                _update(a[r0:], p, pivots[r0:], c1, cols, work)
     return pivots
 
 

@@ -13,7 +13,8 @@ twice, once routed by width and once with the blocked path forced.
 The factored int32 matrix itself must equal the oracle's unblocked
 int64 CUP form value for value, with entries at the int32 limit, on
 Terracini matrices and where a sub-panel's window falls back to the
-pivot loop or ends at the last row.  ``_matmul_mod`` must be exact with
+pivot loop or takes the last rows; the pivot loop factors views of
+the matrix, never a copy.  ``_matmul_mod`` must be exact with
 its limb weights on either operand, and an elimination's workspace must
 neither leak into a product a caller keeps nor be handed back to the
 system between products.
@@ -245,27 +246,37 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
 
 @pytest.fixture
 def windows(monkeypatch):
-    # (first row, first column, pivots found) of each window factored
+    # (rows of the view, first column, pivots found, products taken) of
+    # each window factored; factor_with_windows turns the view's rows
+    # into its first row
     calls = []
-    window = exactlin._window
+    window, matmul_mod = exactlin._window, exactlin._matmul_mod
+    products = []
 
-    def spy(a, p, r, s0, *args):
-        piv = window(a, p, r, s0, *args)
-        calls.append((r, s0, len(piv)))
+    def count(*args, **kwargs):
+        products.append(1)
+        return matmul_mod(*args, **kwargs)
+
+    def spy(a, p, s0, *args):
+        products.clear()
+        piv = window(a, p, s0, *args)
+        calls.append((len(a), s0, len(piv), len(products)))
         return piv
 
     monkeypatch.setattr(exactlin, "_window", spy)
+    monkeypatch.setattr(exactlin, "_matmul_mod", count)
     return calls
 
 
 def factor_with_windows(m, p, windows):
     # the factored matrix equals the oracle's; returns the pivots and the
-    # windows of one elimination
+    # windows of one elimination, each as (first row, first column,
+    # pivots found, products taken)
     a, pivots, _ = assert_echelon_matches_oracle(m, p)
     assert a.tolist() == cup(m, p)[0].tolist()
     windows.clear()
     exactlin._eliminate(exactlin._as_matrix(m, p), p)
-    return pivots, list(windows)
+    return pivots, [(len(m) - n, *call) for n, *call in windows]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -278,20 +289,57 @@ def test_window_falls_back_mid_sub_panel(windows, p):
     m[:NB, 5] = m[:NB, 0]
     pivots, calls = factor_with_windows(m, p, windows)
     assert pivots[:SUB] == list(range(SUB))
-    assert calls[0] == (0, 0, 5)
+    assert calls[0] == (0, 0, 5, 2)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("rows", [NB + SUB, NB + SUB + 1])
 def test_window_at_the_last_rows(windows, rows, p):
     # the second sub-panel starts at row SUB: with NB + SUB rows its window
-    # would end at the last row, so the pivot loop takes it; one row more
-    # leaves a window with one row below it
+    # takes the last rows and multiplies nothing below; one row more
+    # leaves one row below it, which takes both products.  Every window
+    # from row rows - NB on takes the last rows.
     rng = np.random.default_rng([37, rows, p])
     m = rng.integers(0, p, (rows, 3 * NB + 5))
     pivots, calls = factor_with_windows(m, p, windows)
     assert pivots[: 2 * SUB] == list(range(2 * SUB))
-    assert calls == [(0, 0, SUB), (SUB, SUB, SUB)][: rows - NB - SUB + 1]
+    assert calls[:2] == [(0, 0, SUB, 2), (SUB, SUB, SUB, 2 * (rows > NB + SUB))]
+    last = [call for call in calls if call[0] >= rows - NB]
+    assert len(last) == len(calls) - 1 - (rows > NB + SUB)
+    assert not any(n for *_, n in last)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_window_at_the_last_rows_meets_a_column_without_nonzero(windows, p):
+    # column SUB + 3 repeats column 0, so once columns 0 to SUB + 2 have
+    # their pivots it is zero in all the rows left: the second window,
+    # the last NB rows, stops there, and the pivot loop on all rows skips
+    # it and takes the rest of the sub-panel
+    rng = np.random.default_rng([41, p])
+    m = rng.integers(0, p, (NB + SUB, 3 * NB + 5))
+    m[:, SUB + 3] = m[:, 0]
+    pivots, calls = factor_with_windows(m, p, windows)
+    assert pivots[: 2 * SUB - 1] == [c for c in range(2 * SUB) if c != SUB + 3]
+    assert calls[:3] == [(0, 0, SUB, 2), (SUB, SUB, 3, 0), (2 * SUB - 1, 2 * SUB, SUB, 0)]
+
+
+def test_blocked_elimination_factors_views_of_the_matrix(monkeypatch):
+    # every array the pivot loop factors, on a window or on all rows
+    # left, is a view of the matrix itself, at m=10 k=40 where windows
+    # fall back and the last windows take the last rows; the views past
+    # the rank are empty, and hold no memory to share
+    mat = binary_terracini(10, 40, P31)
+    seen = []
+    pivot_loop = exactlin._pivot_loop
+
+    def spy(a, p, *args, **kwargs):
+        seen.append((not a.size or np.shares_memory(a, mat), kwargs.get("stop", False)))
+        return pivot_loop(a, p, *args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "_pivot_loop", spy)
+    exactlin._eliminate(mat, P31)
+    assert all(shared for shared, _ in seen)
+    assert {stop for _, stop in seen} == {False, True}
 
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
