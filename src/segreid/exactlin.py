@@ -29,15 +29,18 @@ from there take the pivot loop on all rows.  A matrix of at most
 ``_PLAIN_MAX_COLS`` columns is factored by the pivot loop alone.
 Kernel vectors, one or a whole basis, come from one block
 back-substitution on the factored form (``_kernel``).  The products run
-on float64 BLAS, one per limb of the left factor (``_matmul_mod``):
-every limb sum stays below 2**53, where float64 is exact, so the
-results do not depend on the summation order, the thread count or the
-BLAS build.  The limbs are recombined in int64
+on float64 BLAS, one per limb of the left factor (``_matmul_mod``).
+For inner dimension n, limbs of
+``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
+keep every limb sum below ``n * 2**b * (p - 1) < 2**53``, where float64
+is exact, so the results do not depend on the summation order, the
+thread count or the BLAS build.  The limbs are recombined in int64
 where their weights cost least.  Where the right operand is smaller
 than the result, as in the trailing update of the rows below the
 pivots, it carries the weights, and the limb products are summed below
-2**58 and reduced once; otherwise, as in the back-substitution, Horner's
-rule on the result stays below 2**54 + 2**31 and reduces once per limb.
+``16 * 2**53 + 2**31`` and reduced once; otherwise, as in the
+back-substitution, Horner's rule on the result stays below
+``2**54 + 2**31`` and reduces once per limb.
 An elimination allocates one workspace for all its products
 (``_workspace``), so they allocate nothing.
 
@@ -48,6 +51,8 @@ plain row-by-row elimination.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -62,32 +67,14 @@ _U64 = (1 << 64) - 1
 def check_prime(p: int) -> int:
     """Validate a modulus for int32 residues and int64 products.
 
-    Requires 3 <= p < 2**31 and primality (Miller-Rabin with bases
-    2, 3, 5, 7, which is exact for every integer below 3215031751 and
-    in particular for the whole admissible range).
+    Requires 3 <= p < 2**31 and primality: p is odd and has no divisor
+    among the odd numbers from 3 to isqrt(p).
     """
     p = int(p)
     if not 3 <= p < 2**31:
         raise ValueError(f"modulus {p} out of range: need 3 <= p < 2**31")
-    for a in (2, 3, 5, 7):
-        if p == a:
-            return p
-        if p % a == 0:
-            raise ValueError(f"modulus {p} is not prime")
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            raise ValueError(f"modulus {p} is not prime")
+    if p % 2 == 0 or not (p % np.arange(3, isqrt(p) + 1, 2)).all():
+        raise ValueError(f"modulus {p} is not prime")
     return p
 
 
@@ -160,8 +147,8 @@ _PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update.  With _PANEL and the row
 # count it sizes the one workspace of an elimination's products.
 _SLAB = 128
-# Largest inner dimension of _matmul_mod: its limbs are then 2 bits wide,
-# 16 BLAS products.
+# Largest inner dimension of _matmul_mod: at p near 2**31 its limbs are
+# then 2 bits wide, 16 BLAS products.
 _MAX_INNER = 1 << 20
 
 
@@ -185,27 +172,30 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
     For inner dimension n, ``x`` is split into limbs of
-    ``b = 22 - bitlen(n - 1)`` bits and ``y`` is converted whole: each
-    limb product sums n terms below ``2**b * 2**31 <= 2**53 / n``, exact
-    in any order.  Inner dimensions up to 64 take 2 limbs, up to 2048
-    take 3, and ``_MAX_INNER`` takes 16.  The limb weights go on ``y``
-    when it has fewer rows than the result, so is the smaller, and on
-    the result otherwise; at equal sizes that measured the faster.
-    ``weigh_y`` forces the choice.
+    ``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
+    and ``y`` is converted whole: each limb product sums n terms below
+    ``2**b * (p - 1)``, so stays below ``n * 2**b * (p - 1) < 2**53``,
+    exact in any order.  At the default primes inner dimensions up to 64
+    take 2 limbs, up to 2048 take 3, and ``_MAX_INNER`` takes 16, the
+    most at any p; at p = 1048573 up to 8192 take 1, and wider ones 2.
+    The limb weights go on ``y`` when it has fewer rows than the result,
+    so is the smaller, and on the result otherwise; at equal sizes that
+    measured the faster.  ``weigh_y`` forces the choice.
 
     - on ``y``: limb i of ``x`` meets ``y_i = 2**(b*i) * y mod p``, and
-      the limb products are summed in int64 below
-      ``16 * 2**53 + 2**31 < 2**58``, so the result is reduced once;
+      the limb products are summed in int64 below ``16 * 2**53``, so the
+      result is reduced once;
     - on the result: Horner's rule from the top limb down in int64,
-      ``acc * 2**b + part < 2**31 * 2**22 + 2**53 = 2**54``, reduced once
-      per limb.
+      ``acc * 2**b + part < 2**(bitlen(p - 1) + b) + 2**53 <= 2**54``,
+      reduced once per limb.
 
     With ``plus``, residues of the result's shape, the result is
     ``(plus + x @ y) mod p`` at no extra reduction: ``plus`` is added
-    before the last one, below ``2**58`` or ``2**54 + 2**31``.  Every
-    value reduced is nonnegative, which keeps np.remainder fast: on
-    int64 it takes about the same time on nonnegative and on
-    all-negative input, and nearly three times as long on mixed signs.
+    before the last one, below ``16 * 2**53 + 2**31`` or
+    ``2**54 + 2**31``.  Every value reduced is nonnegative, which keeps
+    np.remainder fast: on int64 it takes about the same time on
+    nonnegative and on all-negative input, and nearly three times as
+    long on mixed signs.
     The temporaries are views of ``work``, a ``_workspace`` at least
     this large, and so is the result, which the next call with ``work``
     overwrites; without ``work`` they are allocated afresh, and the
@@ -225,8 +215,9 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     limbf, yi, yf, part, acc = (
         buf[: r * c].reshape(r, c) for buf, (r, c) in zip(work, shapes)
     )
-    b = 22 - (n - 1).bit_length()
-    top = ((p - 1).bit_length() - 1) // b * b
+    bits = (p - 1).bit_length()
+    b = min(53 - bits - (n - 1).bit_length(), bits)
+    top = (bits - 1) // b * b
     shifts = range(0, top + 1, b) if weigh_y else range(top, -1, -b)
     yf[...] = y
     for shift in shifts:

@@ -19,6 +19,7 @@ q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,6 @@ class ProductShape:
     @classmethod
     def binary(cls, m: int) -> "ProductShape":
         """The m-fold product of projective lines."""
-        if m < 2:
-            raise ValueError("a product shape needs at least two factors")
         return cls((1,) * m)
 
     @property
@@ -62,10 +61,7 @@ class ProductShape:
     @property
     def ambient_dim(self) -> int:
         """r with the embedding landing in P^r: prod(n_i + 1) - 1."""
-        r = 1
-        for n in self.factor_dims:
-            r *= n + 1
-        return r - 1
+        return math.prod(self.coord_sizes) - 1
 
     @property
     def coord_sizes(self) -> tuple[int, ...]:

@@ -43,6 +43,8 @@ CROSSOVER = exactlin._PLAIN_MAX_COLS
 PRIMES = (3, 65521, 2**31 - 1)
 # the int32 maximum, and the largest admissible modulus
 P31 = 2**31 - 1
+# A 20-bit prime: inner dimensions up to 8192 take one limb, 8193 two.
+P20 = 1048573
 WIDTHS = sorted({NB - 1, NB, NB + 1, CROSSOVER, CROSSOVER + 1, 2 * NB + 1})
 
 
@@ -171,18 +173,26 @@ def test_limb_product_rejects_inner_dimension_above_limit():
         exactlin._matmul_mod(np.zeros((1, n), dtype=np.int64), np.zeros((n, 1), dtype=np.int64), 3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 65, 2048, 2049, 1 << 20])
-def test_limb_product_exact_at_limb_count_boundaries(n):
+LIMB_CASES = [(n, P31) for n in (1, 2, 64, 65, 2048, 2049, 1 << 20)] + [
+    (n, P20) for n in (1, 8192, 8193, 1 << 20)
+]
+
+
+@pytest.mark.parametrize(
+    "n, p", LIMB_CASES, ids=[str(n) if p == P31 else f"{n}-{p}" for n, p in LIMB_CASES]
+)
+def test_limb_product_exact_at_limb_count_boundaries(n, p):
     # n = 64, 2048 and 2**20 are the largest inner dimensions taking 2, 3
-    # and 16 limbs; entries near 2**31 fill every limb, and odd entries
-    # make odd products, so a sum past 2**53 would round; the limb
-    # weights go on y and on the result
-    p = 2**31 - 1
+    # and 16 limbs at p = 2**31 - 1, and n = 8192 and 2**20 are those
+    # taking 1 and 2 at P20; entries within p / 2**15 of p fill every
+    # limb, and odd entries make odd products, so a sum past 2**53 would
+    # round; the limb weights go on y and on the result
     rng = np.random.default_rng([19, n])
+    near = (p + 1) >> 15
     x = np.full((2, n), p - 1, dtype=np.int64)
-    x[1] = rng.integers(p - 2**16, p, n)
+    x[1] = rng.integers(p - near, p, n)
     y = np.full((n, 2), p - 1, dtype=np.int64)
-    y[:, 1] = rng.integers(p - 2**16, p, n)
+    y[:, 1] = rng.integers(p - near, p, n)
     want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
     for weigh_y in (True, False):
         assert exactlin._matmul_mod(x, y, p, weigh_y=weigh_y).tolist() == want
@@ -342,15 +352,18 @@ def test_blocked_elimination_factors_views_of_the_matrix(monkeypatch):
     assert {stop for _, stop in seen} == {False, True}
 
 
-@pytest.mark.parametrize("p", [3, 2**31 - 1])
-@pytest.mark.parametrize("n", [1, 64, 65, 2048, 2049, 1 << 20])
+@pytest.mark.parametrize(
+    "n, p",
+    [(n, p) for p in (3, P31) for n in (1, 64, 65, 2048, 2049, 1 << 20)]
+    + [(n, P20) for n in (1, 8192, 8193, 1 << 20)],
+)
 def test_limb_product_with_plus_exact(n, p):
     # entries p - 1 and odd entries fill every limb; plus rows of p - 1,
     # 0 and random residues reach both ends of the last reduction, and
     # row 0, every entry and plus p - 1, reaches the largest value.  Both
     # placements of the limb weights are forced, on y and on the result.
     rng = np.random.default_rng([29, n, p])
-    odd = min(p // 2, 2**15)
+    odd = max(1, (p + 1) >> 16)
     x = np.full((3, n), p - 1, dtype=np.int64)
     x[1] = p - 2 - 2 * rng.integers(0, odd, n)
     x[2] = rng.integers(0, p, n)

@@ -95,8 +95,10 @@ def test_check_prime_rejects(bad):
 
 
 def test_check_prime_agrees_with_sympy():
-    sample = np.random.default_rng(31).integers(3, 2**31, 3000).tolist()
-    primes = {n for n in sample if sympy.isprime(n)}
+    # every n from -5 to 2**16, then random n up to 2**31
+    sample = list(range(-5, 2**16 + 1))
+    sample += np.random.default_rng(31).integers(3, 2**31, 3000).tolist()
+    primes = {n for n in sample if n >= 3 and sympy.isprime(n)}
     assert len(primes) > 50
     for n in sample:
         if n in primes:

@@ -1,6 +1,6 @@
 """Certificate digests pinned across versions.
 
-``golden/digests.json`` holds, for ten CLI runs at seed 0, the exit
+``golden/digests.json`` holds, for eleven CLI runs at seed 0, the exit
 code and the content digest of every certificate printed: two probes
 and two ``reproduce`` cases recorded with the unblocked row-by-row
 elimination, ``sweep -m 4..6`` recorded before sweep certificates
@@ -9,10 +9,13 @@ shapes (1, 2, 3) and (2, 3, 3), the only cases with unequal factor
 sizes, recorded with the per-point contact contractions, and the
 benchmark's binary m=10 probes at k=90 (a tangency probe) and k=93
 (a rank probe), recorded before sub-panels were factored on a window
-first, and the binary m=11 probe at k=92, recorded while the window was
+first, the binary m=11 probe at k=92, recorded while the window was
 still a copy of its rows: a 1116x2048 matrix where windows in 9 of its
 32 panels find no pivot and, from panel 16 on, the window takes the
-last rows.  Any change to how frames, ranks, kernels, coranks, verdicts
+last rows, and the m=10 k=90 probe at the 20-bit prime 1048573,
+recorded while the limb width depended on the inner dimension alone;
+every product of inner dimension above 4 in it now takes fewer limbs.
+Any change to how frames, ranks, kernels, coranks, verdicts
 or certificates are computed must reproduce them exactly.
 """
 
