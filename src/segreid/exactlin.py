@@ -147,9 +147,6 @@ _PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update.  With _PANEL and the row
 # count it sizes the one workspace of an elimination's products.
 _SLAB = 128
-# Largest inner dimension of _matmul_mod: at p near 2**31 its limbs are
-# then 2 bits wide, 16 BLAS products.
-_MAX_INNER = 1 << 20
 
 
 def _workspace(rows: int, inner: int, cols: int, weigh_y: bool = True) -> tuple[np.ndarray, ...]:
@@ -175,9 +172,10 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     ``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
     and ``y`` is converted whole: each limb product sums n terms below
     ``2**b * (p - 1)``, so stays below ``n * 2**b * (p - 1) < 2**53``,
-    exact in any order.  At the default primes inner dimensions up to 64
-    take 2 limbs, up to 2048 take 3, and ``_MAX_INNER`` takes 16, the
-    most at any p; at p = 1048573 up to 8192 take 1, and wider ones 2.
+    exact in any order.  Limbs under 2 bits wide are refused, so there
+    are at most 16 limbs at any p.  At the default primes inner
+    dimensions up to 64 take 2 limbs, up to 2048 take 3, and up to 2**20
+    take 16; at p = 1048573 up to 8192 take 1, and up to 2**23 take 2.
     The limb weights go on ``y`` when it has fewer rows than the result,
     so is the smaller, and on the result otherwise; at equal sizes that
     measured the faster.  ``weigh_y`` forces the choice.
@@ -199,13 +197,15 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     The temporaries are views of ``work``, a ``_workspace`` at least
     this large, and so is the result, which the next call with ``work``
     overwrites; without ``work`` they are allocated afresh, and the
-    result is the caller's own.  Raises ValueError above ``_MAX_INNER``.
+    result is the caller's own.  Raises ValueError when b < 2.
     """
     rows, n = x.shape
     cols = y.shape[1]
-    if n > _MAX_INNER:
+    bits = (p - 1).bit_length()
+    b = min(53 - bits - (n - 1).bit_length(), bits)
+    if b < 2:
         raise ValueError(
-            f"inner dimension {n} above {_MAX_INNER}: limbs would be under 2 bits wide"
+            f"inner dimension {n} at p = {p}: limbs would be under 2 bits wide"
         )
     if weigh_y is None:
         weigh_y = n < rows
@@ -215,8 +215,6 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     limbf, yi, yf, part, acc = (
         buf[: r * c].reshape(r, c) for buf, (r, c) in zip(work, shapes)
     )
-    bits = (p - 1).bit_length()
-    b = min(53 - bits - (n - 1).bit_length(), bits)
     top = (bits - 1) // b * b
     shifts = range(0, top + 1, b) if weigh_y else range(top, -1, -b)
     yf[...] = y

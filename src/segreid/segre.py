@@ -14,7 +14,10 @@ coordinate 0 of every factor.  Tangent data is the affine tangent
 frame (``_frames``): the embedded point plus the partials of that
 chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
-1 + sum(n_i) rows; the Terracini matrices stack them.
+1 + sum(n_i) rows; the Terracini matrices stack them.  The frames and
+the contact Hessians of ``tangency`` are built from one set of partial
+products per point (``_partial_products``), the Kronecker products of
+the factors before and after each slot.
 """
 
 from __future__ import annotations
@@ -129,8 +132,27 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
     return out
 
 
-# Bytes of int64 frames built at a time: each chunk of points is built
-# wide, then reduced values are narrowed into the int32 result.
+def _kron(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise Kronecker product of two (N, .) residue arrays, reduced."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1]) % p
+
+
+def _partial_products(qs: tuple[np.ndarray, ...], p: int) -> tuple[list, list]:
+    """Per point, ``before[i] = q_1 x ... x q_{i-1}`` and ``after[i] =
+    q_{i+1} x ... x q_m`` for each slot i, as (N, .) int64 residues; an
+    empty product is a column of ones.  The embedding itself,
+    ``before[m] x q_m``, is left to the caller."""
+    ones = np.ones((len(qs[0]), 1), dtype=np.int64)
+    before, after = [ones], [ones]
+    for f in qs[:-1]:
+        before.append(_kron(before[-1], f, p))
+    for f in qs[:0:-1]:
+        after.insert(0, _kron(f, after[0], p))
+    return before, after
+
+
+# Bytes of int64 partial products held at a time: a point's take about
+# 8 * (r + 1) entries, the Kronecker temporaries included.
 _FRAME_CHUNK = 1 << 20
 
 
@@ -138,47 +160,28 @@ def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     """Per point: the embedded point, then each substitution with j >= 1.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
-    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues.
-    The products need int64, so the frames are built in one int64
-    buffer of at most ``_FRAME_CHUNK`` bytes (one point when a frame is
-    larger), a chunk of points at a time, and each chunk is narrowed
-    into the result: no int64 array of the result's size is made.
+    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues,
+    zeroed, then row 0 set to ``before[m] x q_m`` and row (i, j) to
+    ``before[i] x after[i]`` in slot value j of its (B_i, n_i + 1, A_i)
+    view, B_i and A_i the widths of ``before[i]`` and ``after[i]``
+    (``_partial_products``).  Those int64 products are built a chunk of
+    points at a time, within ``_FRAME_CHUNK`` bytes (one point at least).
     """
     n = len(qs[0])
     sizes = [f.shape[1] for f in qs]
-    rows = 1 + sum(d - 1 for d in sizes)
-    out = np.empty((n, rows, int(np.prod(sizes))), dtype=np.int32)
-    step = max(1, _FRAME_CHUNK // (out[0].size * 8))
-    wide = np.empty((min(n, step),) + out.shape[1:], dtype=np.int64)
-    for a in range(0, n, step):
-        chunk = wide[: min(step, n - a)]
-        _fill_frames(chunk, tuple(f[a : a + len(chunk)] for f in qs), p)
-        out[a : a + len(chunk)] = chunk
-    return out
-
-
-def _fill_frames(out: np.ndarray, qs: tuple[np.ndarray, ...], p: int) -> None:
-    """``_frames`` of the points ``qs`` into the int64 array ``out``.
-
-    One pass over the factors, last to first, in place: step i starts
-    factor i's rows as e_j times the point's product over the later
-    factors, then multiplies the point's and the later factors' rows by
-    q_i, one reduction per product.
-    """
-    n = len(out)
-    sizes = [f.shape[1] for f in qs]
+    cols = math.prod(sizes)
     start = np.cumsum([1] + [d - 1 for d in sizes])
-    out[...] = 0
-    out[:, 0, -1] = 1
-    w = 1
-    for i in range(len(qs) - 1, -1, -1):
-        f, d = qs[i], sizes[i]
-        # (N, rows, n_i + 1, w): the last (n_i + 1) * w columns, in blocks
-        tail = out.reshape(n, start[-1], -1, d, w)[:, :, -1]
-        for j in range(1, d):
-            tail[:, start[i] + j - 1, j] = tail[:, 0, -1]
-        for rows in (tail[:, :1], tail[:, start[i + 1] :]):
-            np.multiply(rows[:, :, -1:], f[:, None, :-1, None], out=rows[:, :, :-1])
-            rows[:, :, -1] *= f[:, None, -1:]
-            rows %= p
-        w *= d
+    out = np.zeros((n, start[-1], cols), dtype=np.int32)
+    step = max(1, _FRAME_CHUNK // (8 * cols * 8))
+    for a in range(0, n, step):
+        chunk = tuple(f[a : a + step] for f in qs)
+        before, after = _partial_products(chunk, p)
+        frames = out[a : a + step]
+        frames[:, 0] = _kron(before[-1], chunk[-1], p)
+        for i, d in enumerate(sizes):
+            wb, wa = before[i].shape[1], after[i].shape[1]
+            slots = frames.reshape(len(frames), start[-1], wb, d, wa)
+            row = _kron(before[i], after[i], p).reshape(len(frames), wb, wa)
+            for j in range(1, d):
+                slots[:, start[i] + j - 1, :, j] = row
+    return out

@@ -37,7 +37,7 @@ from .exactlin import (
     ff_kernel,
     ff_rank,
 )
-from .segre import ProductShape, coerce_points
+from .segre import ProductShape, _kron, _partial_products, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
@@ -106,11 +106,6 @@ def tangent_hyperplanes(shape: ProductShape, points, p: int) -> np.ndarray:
     return ff_kernel(terracini_matrix(shape, points, p), p)
 
 
-def _kron(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise Kronecker product of two (N, .) residue arrays, reduced."""
-    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1]) % p
-
-
 def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
     """Off-diagonal Hessians of the form h(q_1, ..., q_m) at N points.
 
@@ -120,20 +115,19 @@ def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
     every slot l other than a and b, and the diagonal blocks are zero.
     Each pair takes one exact product mod p: the Kronecker products of
     those q_l, leftmost slowest as the embedding orders coordinates,
-    against h with axes a and b moved last.  Raises ValueError when
-    (r + 1) / ((n_a + 1)(n_b + 1)) exceeds that product's inner limit.
+    ``before[a] x q_{a+1} x ... x q_{b-1} x after[b]`` from
+    ``segre._partial_products``, against h with axes a and b moved
+    last.  Raises ValueError when that product's inner dimension
+    (r + 1) / ((n_a + 1)(n_b + 1)) is too wide for p (``_matmul_mod``).
     """
     t = _hyperplane_tensor(shape, h, p)
     sizes = shape.coord_sizes
     at = np.cumsum((0,) + sizes)
     m, n = len(sizes), len(qs[0])
-    after = [np.ones((n, 1), dtype=np.int64)] * m
-    for b in range(m - 2, -1, -1):
-        after[b] = _kron(qs[b + 1], after[b + 1], p)
+    before, after = _partial_products(qs, p)
     hess = np.zeros((n, at[-1], at[-1]), dtype=np.int64)
-    before = after[-1]
     for a in range(m - 1):
-        left = before
+        left = before[a]
         for b in range(a + 1, m):
             if b > a + 1:
                 left = _kron(left, qs[b - 1], p)
@@ -142,7 +136,6 @@ def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
             blk = _matmul_mod(z, tab, p).reshape(n, sizes[a], sizes[b])
             hess[:, at[a] : at[a + 1], at[b] : at[b + 1]] = blk
             hess[:, at[b] : at[b + 1], at[a] : at[a + 1]] = blk.transpose(0, 2, 1)
-        before = _kron(before, qs[a], p)
     return hess
 
 

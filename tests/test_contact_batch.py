@@ -8,12 +8,13 @@ medium and the largest admissible prime.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import contact_oracle as oracle
-from segreid import tangency
+from segreid import segre, tangency
 from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
 from segreid.segre import ProductShape, coerce_points, random_point
 from segreid.tangency import contact_coranks, contact_corank, contact_jacobian, tangency_residuals
@@ -107,6 +108,36 @@ def test_largest_entries_match_oracle(dims):
     for r_q, j_q in zip(res, jac):
         assert same(r_q, oracle.tangency_residuals(s, h, pts[0], p))
         assert same(j_q, oracle.contact_jacobian(s, h, pts[0], p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("dims", [(1,) * 6, (1,) * 8, (1, 2, 3), (2, 3, 3)], ids=str)
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_frames_across_chunks_match_oracle(monkeypatch, per_chunk, dims, p):
+    # seven points: chunks of one point, or of three with a last of one
+    s = ProductShape(dims)
+    rng = SplitMix64(11)
+    pts = [random_point(s, rng, p) for _ in range(7)]
+    monkeypatch.setattr(segre, "_FRAME_CHUNK", per_chunk * 8 * 8 * (s.ambient_dim + 1))
+    assert same_terracini(s, pts, p)
+
+
+def test_frames_stay_within_one_chunk_above_their_result():
+    # m=10 k=93: the int64 partial products of a chunk, not the int64
+    # frames of the whole chunk, are all that is held beside the result
+    s = ProductShape.binary(10)
+    p = PRIMES[-1]
+    rng = SplitMix64(0)
+    qs = coerce_points(s, [random_point(s, rng, p) for _ in range(94)], p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = segre._frames(qs, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= segre._FRAME_CHUNK
 
 
 def test_frame_errors_match_oracle():

@@ -159,7 +159,7 @@ def test_entries_near_modulus_across_panels():
 
 def test_limb_product_exact_at_largest_inner_dimension():
     p = 2**31 - 1
-    n = exactlin._MAX_INNER
+    n = 1 << 20
     x = np.full((2, n), p - 1, dtype=np.int64)
     x[1] = np.random.default_rng(17).integers(p - 2**16, p, n)
     y = np.full((n, 1), p - 1, dtype=np.int64)
@@ -168,13 +168,16 @@ def test_limb_product_exact_at_largest_inner_dimension():
 
 
 def test_limb_product_rejects_inner_dimension_above_limit():
-    n = exactlin._MAX_INNER + 1
-    with pytest.raises(ValueError, match="inner dimension"):
-        exactlin._matmul_mod(np.zeros((1, n), dtype=np.int64), np.zeros((n, 1), dtype=np.int64), 3)
+    # limbs under 2 bits wide; zero-stride operands allocate nothing
+    for p, n in [(P31, (1 << 20) + 1), (P20, (1 << 31) + 1), (3, (1 << 49) + 1)]:
+        x = np.broadcast_to(np.int64(0), (1, n))
+        y = np.broadcast_to(np.int64(0), (n, 1))
+        with pytest.raises(ValueError, match=f"inner dimension {n} at p = {p}:"):
+            exactlin._matmul_mod(x, y, p)
 
 
 LIMB_CASES = [(n, P31) for n in (1, 2, 64, 65, 2048, 2049, 1 << 20)] + [
-    (n, P20) for n in (1, 8192, 8193, 1 << 20)
+    (n, P20) for n in (1, 8192, 8193, 1 << 20, (1 << 20) + 1)
 ]
 
 
@@ -183,17 +186,18 @@ LIMB_CASES = [(n, P31) for n in (1, 2, 64, 65, 2048, 2049, 1 << 20)] + [
 )
 def test_limb_product_exact_at_limb_count_boundaries(n, p):
     # n = 64, 2048 and 2**20 are the largest inner dimensions taking 2, 3
-    # and 16 limbs at p = 2**31 - 1, and n = 8192 and 2**20 are those
-    # taking 1 and 2 at P20; entries within p / 2**15 of p fill every
-    # limb, and odd entries make odd products, so a sum past 2**53 would
-    # round; the limb weights go on y and on the result
+    # and 16 limbs at p = 2**31 - 1, and n = 8192 is the largest taking 1
+    # at P20, where 2**20 and 2**20 + 1 (refused near 2**31) take 2;
+    # entries within p / 2**15 of p fill every limb, and odd entries make
+    # odd products, so a sum past 2**53 would round; the limb weights go
+    # on y and on the result
     rng = np.random.default_rng([19, n])
     near = (p + 1) >> 15
     x = np.full((2, n), p - 1, dtype=np.int64)
     x[1] = rng.integers(p - near, p, n)
     y = np.full((n, 2), p - 1, dtype=np.int64)
     y[:, 1] = rng.integers(p - near, p, n)
-    want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
+    want = matmul_mod(x, y, p).tolist()
     for weigh_y in (True, False):
         assert exactlin._matmul_mod(x, y, p, weigh_y=weigh_y).tolist() == want
 
