@@ -52,7 +52,7 @@ plain row-by-row elimination.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -62,6 +62,8 @@ import numpy as np
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 
 _U64 = (1 << 64) - 1
+# SplitMix64's Weyl increment and its finalizer's two multipliers.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def check_prime(p: int) -> int:
@@ -87,7 +89,10 @@ class SplitMix64:
     replays bit for bit on any platform and library version.  That
     stability is the reason this lives here instead of reusing a numpy
     Generator, whose integer-sampling streams may change across
-    releases.
+    releases.  ``residues`` and ``nonzero_residues`` replay the scalar
+    draws, rejections included, as one array: the Weyl states are the
+    seed plus multiples of the increment, finalized as uint64 arrays,
+    which wrap mod 2**64 as the scalar masks do.
     """
 
     name = "splitmix64"
@@ -97,11 +102,19 @@ class SplitMix64:
         self._state = self.seed
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
+        self._state = (self._state + _GAMMA) & _U64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        z = ((z ^ (z >> 30)) * _MIX1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX2) & _U64
         return z ^ (z >> 31)
+
+    def _next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``next_u64``, as one uint64 array."""
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _U64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
 
     def residue(self, p: int) -> int:
         """Uniform element of F_p, by rejection from the top of the u64 range."""
@@ -114,6 +127,22 @@ class SplitMix64:
     def nonzero_residue(self, p: int) -> int:
         """Uniform element of F_p minus zero."""
         return self.residue(p - 1) + 1
+
+    def residues(self, p: int, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``residue(p)``, as one int64 array:
+        each round draws the values still missing and keeps those below
+        the limit, so the stream advances as far as the scalar draws."""
+        top = np.uint64((1 << 64) - ((1 << 64) % p) - 1)
+        kept = [np.empty(0, dtype=np.uint64)]
+        while count:
+            u = self._next_u64s(count)
+            kept.append(u[u <= top])
+            count -= len(kept[-1])
+        return (np.concatenate(kept) % np.uint64(p)).astype(np.int64)
+
+    def nonzero_residues(self, p: int, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``nonzero_residue(p)``, as one int64 array."""
+        return self.residues(p - 1, count) + 1
 
 
 def _integer_array(data) -> np.ndarray:
@@ -149,25 +178,26 @@ _PLAIN_MAX_COLS = 2 * _PANEL
 _SLAB = 128
 
 
-def _workspace(rows: int, inner: int, cols: int, weigh_y: bool = True) -> tuple[np.ndarray, ...]:
+# dtypes of a product's temporaries: the float64 limb of ``x``, the int64
+# and the float64 right operand, the float64 product and the int64
+# accumulator.
+_LIMB_DTYPES = (np.float64, np.int64, np.float64, np.float64, np.int64)
+
+
+def _workspace(rows: int, inner: int, cols: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for ``_matmul_mod`` products of at most
-    ``(rows, inner) @ (inner, cols)``: the float64 limb, the int64 and
-    the float64 right operand, the float64 product and the int64
-    accumulator.  The int64 right operand, which only weighing ``y``
-    uses, is empty without ``weigh_y``."""
-    return (
-        np.empty(rows * inner),
-        np.empty(inner * cols if weigh_y else 0, dtype=np.int64),
-        np.empty(inner * cols),
-        np.empty(rows * cols),
-        np.empty(rows * cols, dtype=np.int64),
-    )
+    ``(rows, inner) @ (inner, cols)``, one per temporary."""
+    sizes = (rows * inner, inner * cols, inner * cols, rows * cols, rows * cols)
+    return tuple(np.empty(n, dtype=d) for n, d in zip(sizes, _LIMB_DTYPES))
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
                 weigh_y=None) -> np.ndarray:
     """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
 
+    ``x`` and ``y`` may carry leading batch axes, broadcast as by
+    ``np.matmul``: every matrix of the stack is then one such exact
+    product, of the same inner dimension and the same limbs.
     For inner dimension n, ``x`` is split into limbs of
     ``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
     and ``y`` is converted whole: each limb product sums n terms below
@@ -176,9 +206,9 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     are at most 16 limbs at any p.  At the default primes inner
     dimensions up to 64 take 2 limbs, up to 2048 take 3, and up to 2**20
     take 16; at p = 1048573 up to 8192 take 1, and up to 2**23 take 2.
-    The limb weights go on ``y`` when it has fewer rows than the result,
-    so is the smaller, and on the result otherwise; at equal sizes that
-    measured the faster.  ``weigh_y`` forces the choice.
+    The limb weights go on ``y`` when it has fewer entries than the
+    result, so is the smaller, and on the result otherwise; at equal
+    sizes that measured the faster.  ``weigh_y`` forces the choice.
 
     - on ``y``: limb i of ``x`` meets ``y_i = 2**(b*i) * y mod p``, and
       the limb products are summed in int64 below ``16 * 2**53``, so the
@@ -199,8 +229,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     overwrites; without ``work`` they are allocated afresh, and the
     result is the caller's own.  Raises ValueError when b < 2.
     """
-    rows, n = x.shape
-    cols = y.shape[1]
+    n = x.shape[-1]
+    out = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
     bits = (p - 1).bit_length()
     b = min(53 - bits - (n - 1).bit_length(), bits)
     if b < 2:
@@ -208,12 +238,12 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
             f"inner dimension {n} at p = {p}: limbs would be under 2 bits wide"
         )
     if weigh_y is None:
-        weigh_y = n < rows
+        weigh_y = y.size < prod(out)
+    shapes = [x.shape, y.shape if weigh_y else (0,), y.shape, out, out]
     if work is None:
-        work = _workspace(rows, n, cols, weigh_y)
-    shapes = [(rows, n), (n if weigh_y else 0, cols), (n, cols), (rows, cols), (rows, cols)]
+        work = [np.empty(prod(s), dtype=d) for s, d in zip(shapes, _LIMB_DTYPES)]
     limbf, yi, yf, part, acc = (
-        buf[: r * c].reshape(r, c) for buf, (r, c) in zip(work, shapes)
+        buf[: prod(s)].reshape(s) for buf, s in zip(work, shapes)
     )
     top = (bits - 1) // b * b
     shifts = range(0, top + 1, b) if weigh_y else range(top, -1, -b)
@@ -457,6 +487,32 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
         t = _matmul_mod(a[rows, q[0] :], x[q[0] :, j0:], p)
         x[q, j0:] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
     return x
+
+
+def _ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of every matrix of the (N, rows, cols) int64 residue
+    stack ``a``, which is overwritten, in one pivot pass over the stack.
+
+    Per column, a matrix's pivot is its first row not yet a pivot with
+    a nonzero entry d there; every such row x, f its entry, becomes
+    ``d x + (p - f) u`` right of the column, u the pivot row.  Row order
+    and a nonzero d change no span, so the rank is the pivot count.
+    Each term is below ``p**2``, the sum below ``2**63``, reduced once.
+    """
+    n, rows, cols = a.shape
+    free = np.ones((n, rows), dtype=bool)
+    every = np.arange(n)
+    for c in range(cols):
+        f = np.where(free, a[:, :, c], 0)
+        r = (f != 0).argmax(axis=1)
+        d, u = f[every, r], a[every, r, c + 1 :]
+        found = d != 0
+        free[every[found], r[found]] = False
+        rest = a[:, :, c + 1 :]
+        rest *= np.where(found, d, 1)[:, None, None]
+        rest += (-f % p)[:, :, None] * u[:, None, :]
+        rest %= p
+    return rows - free.sum(axis=1)
 
 
 def ff_rank(mat, p: int) -> int:

@@ -8,16 +8,18 @@ j_1 * S_1 + ... + j_m * S_m with strides S_i = prod_{l > i} (n_l + 1).
 This coordinate order is fixed once and recorded in every certificate
 so that hyperplane vectors from different runs are comparable.
 
-Points live here: ``random_point`` draws them, and ``coerce_points``
-keeps them in the package's one affine chart, the one that freezes
-coordinate 0 of every factor.  Tangent data is the affine tangent
+Points live here: ``_random_points`` draws a trial's points as one
+array, ``random_point`` one point, and ``coerce_points`` keeps points
+in the package's one affine chart, the one that freezes coordinate 0
+of every factor.  Tangent data is the affine tangent
 frame (``_frames``): the embedded point plus the partials of that
 chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
-1 + sum(n_i) rows; the Terracini matrices stack them.  The frames and
-the contact Hessians of ``tangency`` are built from one set of partial
-products per point (``_partial_products``), the Kronecker products of
-the factors before and after each slot.
+1 + sum(n_i) rows; the Terracini matrices stack them.  The frames, and
+the frames of factor halves that the contact Hessians of ``tangency``
+use, are built from partial products per point
+(``_partial_products``), the Kronecker products of the factors before
+and after each slot.
 """
 
 from __future__ import annotations
@@ -114,13 +116,17 @@ def coerce_points(shape: ProductShape, points, p: int) -> tuple[np.ndarray, ...]
     return qs
 
 
+def _random_points(shape: ProductShape, rng: SplitMix64, p: int, count: int) -> tuple[np.ndarray, ...]:
+    """``count`` points in the chart, stacked per factor as ``coerce_points``
+    returns them: every coordinate uniform in F_p minus zero, drawn point
+    by point, factor by factor, coordinate by coordinate, as one array."""
+    draws = rng.nonzero_residues(p, count * sum(shape.coord_sizes)).reshape(count, -1)
+    return tuple(np.split(draws, np.cumsum(shape.coord_sizes)[:-1], axis=1))
+
+
 def random_point(shape: ProductShape, rng: SplitMix64, p: int) -> tuple[np.ndarray, ...]:
-    """Point in the chart: every coordinate uniform in F_p minus zero,
-    drawn factor by factor, coordinate by coordinate."""
-    return tuple(
-        np.array([rng.nonzero_residue(p) for _ in range(n + 1)], dtype=np.int64)
-        for n in shape.factor_dims
-    )
+    """Point in the chart: ``_random_points`` for one point, one array per factor."""
+    return tuple(f[0] for f in _random_points(shape, rng, p, 1))
 
 
 def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
@@ -151,6 +157,35 @@ def _partial_products(qs: tuple[np.ndarray, ...], p: int) -> tuple[list, list]:
     return before, after
 
 
+def _write_frames(frames: np.ndarray, qs: tuple[np.ndarray, ...], p: int, first: int) -> None:
+    """Fill the zeroed (N, rows, S) ``frames`` of the factors ``qs``: row 0
+    is the embedding ``before[m] x q_m``, and the rows after it hold
+    ``before[i] x e_j x after[i]`` (``_partial_products``), slot by slot
+    and j from ``first`` up, as ``before[i] x after[i]`` in slot value j
+    of the row's (B_i, n_i + 1, A_i) view."""
+    before, after = _partial_products(qs, p)
+    n, _, cols = frames.shape
+    frames[:, 0] = _kron(before[-1], qs[-1], p)
+    row = 1
+    for b, a in zip(before, after):
+        wb, wa = b.shape[1], a.shape[1]
+        slots = frames.reshape(n, -1, wb, cols // (wb * wa), wa)
+        ba = _kron(b, a, p).reshape(n, wb, wa)
+        for j in range(first, slots.shape[3]):
+            slots[:, row, :, j] = ba
+            row += 1
+
+
+def _full_frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """Per point, the embedding of the factors ``qs`` and then every
+    single-slot substitution, j = 0 included: (N, 1 + R, S) int64
+    residues, R the sum and S the product of the factors' sizes."""
+    sizes = [f.shape[1] for f in qs]
+    out = np.zeros((len(qs[0]), 1 + sum(sizes), math.prod(sizes)), dtype=np.int64)
+    _write_frames(out, qs, p, 0)
+    return out
+
+
 # Bytes of int64 partial products held at a time: a point's take about
 # 8 * (r + 1) entries, the Kronecker temporaries included.
 _FRAME_CHUNK = 1 << 20
@@ -160,28 +195,15 @@ def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     """Per point: the embedded point, then each substitution with j >= 1.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
-    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues,
-    zeroed, then row 0 set to ``before[m] x q_m`` and row (i, j) to
-    ``before[i] x after[i]`` in slot value j of its (B_i, n_i + 1, A_i)
-    view, B_i and A_i the widths of ``before[i]`` and ``after[i]``
-    (``_partial_products``).  Those int64 products are built a chunk of
-    points at a time, within ``_FRAME_CHUNK`` bytes (one point at least).
+    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues
+    that ``_write_frames`` fills, a chunk of points at a time, so that
+    its int64 partial products stay within ``_FRAME_CHUNK`` bytes (one
+    point at least).
     """
     n = len(qs[0])
-    sizes = [f.shape[1] for f in qs]
-    cols = math.prod(sizes)
-    start = np.cumsum([1] + [d - 1 for d in sizes])
-    out = np.zeros((n, start[-1], cols), dtype=np.int32)
+    cols = math.prod(f.shape[1] for f in qs)
+    out = np.zeros((n, 1 + sum(f.shape[1] - 1 for f in qs), cols), dtype=np.int32)
     step = max(1, _FRAME_CHUNK // (8 * cols * 8))
     for a in range(0, n, step):
-        chunk = tuple(f[a : a + step] for f in qs)
-        before, after = _partial_products(chunk, p)
-        frames = out[a : a + step]
-        frames[:, 0] = _kron(before[-1], chunk[-1], p)
-        for i, d in enumerate(sizes):
-            wb, wa = before[i].shape[1], after[i].shape[1]
-            slots = frames.reshape(len(frames), start[-1], wb, d, wa)
-            row = _kron(before[i], after[i], p).reshape(len(frames), wb, wa)
-            for j in range(1, d):
-                slots[:, start[i] + j - 1, :, j] = row
+        _write_frames(out[a : a + step], tuple(f[a : a + step] for f in qs), p, 1)
     return out

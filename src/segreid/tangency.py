@@ -16,8 +16,11 @@ the product.  Its local size is what decides weak defectivity:
 * positive corank is evidence only and is never used to certify.
 
 Residuals and Jacobian entries are exact multilinear contractions of
-the hyperplane tensor, never finite differences, made for all k+1
-contact points of a trial in one batched pass (``contact_coranks``).
+the hyperplane tensor, never finite differences, read off the Hessians
+of the form at all k+1 contact points of a trial.  Those are filled by
+divide and conquer over the factors, in exact products batched over
+the points (``_fill``), and one pivot pass over the stack of chart
+Jacobians ranks them all (``contact_coranks``).
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from .exactlin import (
     _integer_array,
     _kernel,
     _matmul_mod,
+    _ranks,
     ff_kernel,
     ff_rank,
 )
-from .segre import ProductShape, _kron, _partial_products, coerce_points
+from .segre import ProductShape, _full_frames, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
@@ -46,6 +50,10 @@ from .terracini import (
     expected_dim,
     terracini_matrix,
 )
+
+# The contact coranks come from one stacked rank, not from ff_rank, but
+# bench/spans.py wraps ff_rank by this module's name, so it stays bound.
+_BENCH_SPANS = (ff_rank,)
 
 CITE_DIM_COUNT = (
     "dimension count: k*dim X + dim X + k exceeds the ambient dimension, so"
@@ -113,30 +121,38 @@ def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
     residues per factor.  Shape (N, R, R) with R = sum(n_i + 1), in
     blocks by factor: block (a, b), a != b, is h contracted with q_l in
     every slot l other than a and b, and the diagonal blocks are zero.
-    Each pair takes one exact product mod p: the Kronecker products of
-    those q_l, leftmost slowest as the embedding orders coordinates,
-    ``before[a] x q_{a+1} x ... x q_{b-1} x after[b]`` from
-    ``segre._partial_products``, against h with axes a and b moved
-    last.  Raises ValueError when that product's inner dimension
-    (r + 1) / ((n_a + 1)(n_b + 1)) is too wide for p (``_matmul_mod``).
+    Filled by divide and conquer over the factors (``_fill``).
     """
-    t = _hyperplane_tensor(shape, h, p)
-    sizes = shape.coord_sizes
-    at = np.cumsum((0,) + sizes)
-    m, n = len(sizes), len(qs[0])
-    before, after = _partial_products(qs, p)
-    hess = np.zeros((n, at[-1], at[-1]), dtype=np.int64)
-    for a in range(m - 1):
-        left = before[a]
-        for b in range(a + 1, m):
-            if b > a + 1:
-                left = _kron(left, qs[b - 1], p)
-            z = _kron(left, after[b], p)
-            tab = np.moveaxis(t, (a, b), (-2, -1)).reshape(z.shape[1], -1)
-            blk = _matmul_mod(z, tab, p).reshape(n, sizes[a], sizes[b])
-            hess[:, at[a] : at[a + 1], at[b] : at[b + 1]] = blk
-            hess[:, at[b] : at[b + 1], at[a] : at[a + 1]] = blk.transpose(0, 2, 1)
+    t = _hyperplane_tensor(shape, h, p).reshape(1, -1)
+    rows = sum(shape.coord_sizes)
+    hess = np.zeros((len(qs[0]), rows, rows), dtype=np.int64)
+    _fill(hess, t, qs, p)
     return hess
+
+
+def _fill(hess: np.ndarray, t: np.ndarray, qs, p: int) -> None:
+    """Fill ``hess``, the (N, R, R) diagonal block of the run of factors
+    ``qs``, from ``t``: h contracted with every factor outside the run,
+    (N, S) per point, or (1, S) shared.  With halves L and R, embeddings
+    E and frames F (``segre._full_frames``, E in row 0), the cross
+    blocks are ``F_L t F_R^T``, and L and R recurse on ``t E_R^T`` and
+    ``E_L t``, row 0 of ``[E_L; F_L] t``: three ``_matmul_mod`` stacks,
+    a shared ``t`` taking all points as rows of one product.  Their
+    inner dimensions are the halves' coordinate counts.
+    """
+    if len(qs) == 1:
+        return
+    half = len(qs) // 2
+    left, right = _full_frames(qs[:half], p), _full_frames(qs[half:], p)
+    n, r_l, s_l = len(left), left.shape[1] - 1, left.shape[2]
+    t = t.reshape(len(t), s_l, -1)
+    lt = _matmul_mod(left.reshape(len(t), -1, s_l), t, p).reshape(n, r_l + 1, -1)
+    t_l = _matmul_mod(right[:, 0].reshape(len(t), -1, t.shape[2]), t.transpose(0, 2, 1), p)
+    cross = _matmul_mod(lt[:, 1:], right[:, 1:].transpose(0, 2, 1), p)
+    hess[:, :r_l, r_l:] = cross
+    hess[:, r_l:, :r_l] = cross.transpose(0, 2, 1)
+    _fill(hess[:, :r_l, :r_l], t_l.reshape(n, s_l), qs[:half], p)
+    _fill(hess[:, r_l:, r_l:], lt[:, 0], qs[half:], p)
 
 
 def _residuals(hess: np.ndarray, qs, p: int) -> np.ndarray:
@@ -187,23 +203,27 @@ def contact_jacobian(shape: ProductShape, h, point, p: int) -> np.ndarray:
 
 
 def contact_coranks(shape: ProductShape, h, points, p: int) -> tuple[int, ...]:
-    """Contact coranks at every point, from one batched pass.
+    """Contact coranks at every point, from whole-stack passes.
 
-    The Hessians of all points are contracted together; each point's
-    residuals and chart Jacobian are read off its Hessian, and each
-    Jacobian is ranked on its own.  Raises ValueError naming the first
-    point outside the chart, or else the first point whose residuals
-    do not vanish.
+    The Hessians of all points are filled together (``_hessians``);
+    each point's residuals and chart Jacobian are read off its Hessian,
+    and one pivot pass over the stack ranks every Jacobian
+    (``exactlin._ranks``).  Raises ValueError naming the first point
+    outside the chart (``coerce_points``), or else the first point whose
+    residuals do not vanish.
     """
-    qs = coerce_points(shape, points, p)
+    return _contact_coranks(shape, h, coerce_points(shape, points, p), p)
+
+
+def _contact_coranks(shape: ProductShape, h, qs, p: int) -> tuple[int, ...]:
+    """``contact_coranks`` at points already stacked per factor and in the chart."""
     hess = _hessians(shape, h, qs, p)
     bad = np.flatnonzero(_residuals(hess, qs, p).any(axis=1))
     if bad.size:
         raise ValueError(
             f"hyperplane is not tangent at point {bad[0]}: residuals do not vanish"
         )
-    cols = _chart_columns(shape)
-    return tuple(shape.dim - ff_rank(hq[:, cols], p) for hq in hess)
+    return tuple(shape.dim - int(r) for r in _ranks(hess[:, :, _chart_columns(shape)], p))
 
 
 def contact_corank(shape: ProductShape, h, point, p: int) -> int:
@@ -256,7 +276,7 @@ def weak_defectivity_probe(
     best = -1
     coeffs = None
     coranks = None
-    for rng, pts, mat in _trials(shape, k, trials, prime, seed):
+    for rng, qs, mat in _trials(shape, k, trials, prime, seed):
         # the Terracini matrix holds residues, so it is factored in place
         pivots = _eliminate(mat, prime)
         rank = len(pivots)
@@ -267,14 +287,14 @@ def weak_defectivity_probe(
         nullity = r + 1 - rank
         # h's free coordinates are cs, so h == 0 exactly when every c is
         while True:
-            cs = tuple(rng.residue(prime) for _ in range(nullity))
-            if any(cs):
+            cs = rng.residues(prime, nullity)
+            if cs.any():
                 break
-        h = _kernel(mat, pivots, np.array(cs, dtype=np.int64)[:, None], prime)[:, 0]
+        h = _kernel(mat, pivots, cs[:, None], prime)[:, 0]
         del mat
-        trial_coranks = contact_coranks(shape, h, pts, prime)
+        trial_coranks = _contact_coranks(shape, h, qs, prime)
         if coranks is None or all(c == 0 for c in trial_coranks):
-            coeffs = cs
+            coeffs = tuple(cs.tolist())
             coranks = trial_coranks
         if all(c == 0 for c in trial_coranks):
             break

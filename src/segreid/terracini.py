@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .exactlin import DEFAULT_PRIMES, SplitMix64, _eliminate, check_prime, ff_rank
-from .segre import ProductShape, _frames, coerce_points, random_point
+from .segre import ProductShape, _frames, _random_points, coerce_points
 
 # The probes factor their own matrices in place and call no ff_rank, but
 # bench/spans.py wraps ff_rank by this module's name, so it stays bound.
@@ -50,11 +50,13 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
 def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
     """Yield (rng, points, Terracini matrix) once per trial of a probe.
 
-    The arguments are checked when the first trial is drawn.  The stream
-    is yielded so that a probe's own draws in a trial come before the
-    next trial's points, the order every recorded seed replays.  The
-    caller drops each matrix before asking for the next, so that no
-    two are alive at once.
+    The k+1 points of a trial are drawn as one array and yielded stacked
+    per factor, as ``coerce_points`` returns them; ``terracini_matrix``
+    validates them, once.  The arguments are checked when the first
+    trial is drawn.  The stream is yielded so that a probe's own draws
+    in a trial come before the next trial's points, the order every
+    recorded seed replays.  The caller drops each matrix before asking
+    for the next, so that no two are alive at once.
     """
     check_prime(prime)
     if k < 1:
@@ -63,8 +65,9 @@ def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
         raise ValueError("trials must be >= 1")
     rng = SplitMix64(seed)
     for _ in range(trials):
-        pts = [random_point(shape, rng, prime) for _ in range(k + 1)]
-        yield rng, pts, terracini_matrix(shape, pts, prime)
+        qs = _random_points(shape, rng, prime, k + 1)
+        pts = [tuple(f[a] for f in qs) for a in range(k + 1)]
+        yield rng, qs, terracini_matrix(shape, pts, prime)
 
 
 @dataclass(frozen=True)

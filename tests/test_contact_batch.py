@@ -98,7 +98,8 @@ def test_one_point_batch_matches_oracle(dims):
 
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
 def test_largest_entries_match_oracle(dims):
-    # every entry p - 1: each product is (p - 1)**2, the most int64 must hold
+    # every entry p - 1: each product is (p - 1)**2, the most int64 must
+    # hold; then entries within 2**16 of p - 1, different at every point
     p = PRIMES[-1]
     s = ProductShape(dims)
     h = np.full(s.ambient_dim + 1, p - 1, dtype=np.int64)
@@ -108,6 +109,14 @@ def test_largest_entries_match_oracle(dims):
     for r_q, j_q in zip(res, jac):
         assert same(r_q, oracle.tangency_residuals(s, h, pts[0], p))
         assert same(j_q, oracle.contact_jacobian(s, h, pts[0], p))
+    g = np.random.default_rng(len(dims))
+    h = p - 1 - g.integers(0, 1 << 16, s.ambient_dim + 1)
+    pts = [tuple(p - 1 - g.integers(0, 1 << 16, d) for d in s.coord_sizes) for _ in range(3)]
+    assert same_terracini(s, pts, p)
+    res, jac = batch(s, h, pts, p, (0,) * s.num_factors)
+    for q, r_q, j_q in zip(pts, res, jac):
+        assert same(r_q, oracle.tangency_residuals(s, h, q, p))
+        assert same(j_q, oracle.contact_jacobian(s, h, q, p))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -202,6 +202,26 @@ def test_limb_product_exact_at_limb_count_boundaries(n, p):
         assert exactlin._matmul_mod(x, y, p, weigh_y=weigh_y).tolist() == want
 
 
+@pytest.mark.parametrize(
+    "n, p", LIMB_CASES, ids=[str(n) if p == P31 else f"{n}-{p}" for n, p in LIMB_CASES]
+)
+def test_stacked_limb_product_exact_at_limb_count_boundaries(n, p):
+    # stacks of two rows and two columns within p / 2**15 of p, and a
+    # stack of one broadcast against the other operand's two: each member
+    # takes the limbs of the inner dimension n alone, exact with the limb
+    # weights on y and on the result
+    rng = np.random.default_rng([23, n])
+    near = (p + 1) >> 15
+    x = rng.integers(p - near, p, (2, 1, n))
+    y = rng.integers(p - near, p, (2, n, 1))
+    want = {(i, j): matmul_mod(x[i], y[j], p).tolist() for i, j in [(0, 0), (0, 1), (1, 1)]}
+    for xs, ys, pairs in [(x, y, [(0, 0), (1, 1)]), (x[:1], y, [(0, 0), (0, 1)]),
+                          (x, y[1:], [(0, 1), (1, 1)])]:
+        for weigh_y in (True, False):
+            got = exactlin._matmul_mod(xs, ys, p, weigh_y=weigh_y)
+            assert got.shape == (2, 1, 1) and got.tolist() == [want[ij] for ij in pairs]
+
+
 def assert_cup_matches_oracle(m, p):
     # assert_matches_oracle, plus kernel vectors solved on the factored
     # form: one column of free coordinates, as the probe's hyperplane, and three

@@ -15,6 +15,12 @@ still a copy of its rows: a 1116x2048 matrix where windows in 9 of its
 last rows, and the m=10 k=90 probe at the 20-bit prime 1048573,
 recorded while the limb width depended on the inner dimension alone;
 every product of inner dimension above 4 in it now takes fewer limbs.
+``golden/slow_digests.json`` holds two more, the binary m=12 k=314
+and m=13 k=584 probes, recorded while each factor pair's Hessian block
+took its own product and each contact Jacobian was ranked on its own.
+They guard the contact stage where its whole-stack passes change most;
+they take about 10 s and 40 s, so they are marked ``slow`` and run only
+with ``pytest -m slow``.
 Any change to how frames, ranks, kernels, coranks, verdicts
 or certificates are computed must reproduce them exactly.
 """
@@ -27,10 +33,14 @@ import pytest
 from segreid.certificates import certificate_from_dict
 from segreid.cli import main
 
-CASES = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "digests.json").read_text())
+SLOW_CASES = json.loads((GOLDEN / "slow_digests.json").read_text())
 
 
-@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+@pytest.mark.parametrize("case", CASES + [
+    pytest.param(c, marks=pytest.mark.slow) for c in SLOW_CASES
+], ids=[" ".join(c["argv"]) for c in CASES + SLOW_CASES])
 def test_golden_digests_reproduce(case, capsys):
     code = main(case["argv"])
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
