@@ -16,7 +16,7 @@ p = DEFAULT_PRIMES[0]
 print(f"working prime: {p} (check_prime -> {check_prime(p)})")
 
 rng = SplitMix64(2)
-print(f"splitmix64 stream head: {[rng.next_u64() for _ in range(3)]}")
+print(f"splitmix64 stream head: {rng.next_u64s(3).tolist()}")
 
 def exact_product(x, y, q):
     # Python integers cannot overflow, so this product needs no care at all
@@ -30,10 +30,10 @@ def plant(q, seed):
     rank = 4
     b = np.zeros((7, rank), dtype=np.int64)
     b[:rank] = np.eye(rank, dtype=np.int64)
-    b[rank:] = [[rnd.residue(q) for _ in range(rank)] for _ in range(3)]
+    b[rank:] = rnd.residues(q, 3 * rank).reshape(3, rank)
     c = np.zeros((rank, 9), dtype=np.int64)
     c[:, :rank] = np.eye(rank, dtype=np.int64)
-    c[:, rank:] = [[rnd.residue(q) for _ in range(5)] for _ in range(rank)]
+    c[:, rank:] = rnd.residues(q, rank * 5).reshape(rank, 5)
     return exact_product(b, c, q).astype(np.int64)
 
 

@@ -15,6 +15,7 @@ from segreid import (
     ProductShape,
     SplitMix64,
     ff_rank,
+    random_point,
     segre_embed,
     terracini_matrix,
 )
@@ -53,10 +54,7 @@ print(f"stacked rank: {both} (same span: the redundancy is the per-factor scalin
 
 rng = SplitMix64(1)
 big = ProductShape((2, 2, 3))
-pt = tuple(
-    np.array([rng.nonzero_residue(p) for _ in range(n + 1)], dtype=np.int64)
-    for n in big.factor_dims
-)
+pt = random_point(big, rng, p)
 fr = substitutions(big, pt)
 print(
     f"shape {big.factor_dims}: frame {fr.shape[0]} rows in {fr.shape[1]} coordinates,"

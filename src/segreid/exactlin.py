@@ -89,10 +89,10 @@ class SplitMix64:
     replays bit for bit on any platform and library version.  That
     stability is the reason this lives here instead of reusing a numpy
     Generator, whose integer-sampling streams may change across
-    releases.  ``residues`` and ``nonzero_residues`` replay the scalar
-    draws, rejections included, as one array: the Weyl states are the
-    seed plus multiples of the increment, finalized as uint64 arrays,
-    which wrap mod 2**64 as the scalar masks do.
+    releases.  Outputs are drawn as arrays (``next_u64s``): the Weyl
+    states are the seed plus multiples of the increment, finalized as
+    uint64 arrays, which wrap mod 2**64.  Each draw of ``residues`` and
+    ``nonzero_residues`` takes one output, and one more per rejection.
     """
 
     name = "splitmix64"
@@ -101,47 +101,32 @@ class SplitMix64:
         self.seed = int(seed) & _U64
         self._state = self.seed
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _MIX2) & _U64
-        return z ^ (z >> 31)
-
-    def _next_u64s(self, count: int) -> np.ndarray:
-        """The next ``count`` values of ``next_u64``, as one uint64 array."""
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs, as one uint64 array.  A negative
+        ``count`` raises ValueError before the state moves."""
+        if count < 0:
+            raise ValueError(f"count {count} is negative")
         z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + count * _GAMMA) & _U64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def residue(self, p: int) -> int:
-        """Uniform element of F_p, by rejection from the top of the u64 range."""
-        lim = (1 << 64) - ((1 << 64) % p)
-        while True:
-            u = self.next_u64()
-            if u < lim:
-                return u % p
-
-    def nonzero_residue(self, p: int) -> int:
-        """Uniform element of F_p minus zero."""
-        return self.residue(p - 1) + 1
-
     def residues(self, p: int, count: int) -> np.ndarray:
-        """The next ``count`` draws of ``residue(p)``, as one int64 array:
-        each round draws the values still missing and keeps those below
-        the limit, so the stream advances as far as the scalar draws."""
+        """``count`` uniform elements of F_p, as one int64 array, by
+        rejection from the top of the u64 range: outputs below
+        ``2**64 - 2**64 % p`` are kept, mod p, in stream order; each
+        round draws as many outputs as are still missing."""
         top = np.uint64((1 << 64) - ((1 << 64) % p) - 1)
         kept = [np.empty(0, dtype=np.uint64)]
         while count:
-            u = self._next_u64s(count)
+            u = self.next_u64s(count)
             kept.append(u[u <= top])
             count -= len(kept[-1])
         return (np.concatenate(kept) % np.uint64(p)).astype(np.int64)
 
     def nonzero_residues(self, p: int, count: int) -> np.ndarray:
-        """The next ``count`` draws of ``nonzero_residue(p)``, as one int64 array."""
+        """``count`` uniform elements of F_p minus zero: ``residues(p - 1) + 1``."""
         return self.residues(p - 1, count) + 1
 
 
@@ -468,10 +453,7 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     only U and its own multipliers.  With its own pivot coordinates
     still 0, which is also what those multipliers meet, its rows give
     ``t = a[rows, q0:] @ x[q0:]``, and its pivot coordinates are
-    ``-U11^-1 t``.  A vector whose free coordinates from q0 on are all
-    zero is zero from q0 on, so each block skips the vectors before the
-    first that is not: for ``ff_kernel``'s identity, those whose free
-    coordinate lies left of q0.
+    ``-U11^-1 t``.
     """
     cols = a.shape[1]
     free = np.ones(cols, dtype=bool)
@@ -481,11 +463,8 @@ def _kernel(a: np.ndarray, pivots: list[int], xf: np.ndarray, p: int) -> np.ndar
     for lo in range((len(pivots) - 1) // _PANEL * _PANEL, -1, -_PANEL):
         q = pivots[lo : lo + _PANEL]
         rows = slice(lo, lo + len(q))
-        # the free columns left of q[0] are the first q[0] - lo
-        live = xf[q[0] - lo :].any(axis=0)
-        j0 = int(live.argmax()) if live.any() else len(live)
-        t = _matmul_mod(a[rows, q[0] :], x[q[0] :, j0:], p)
-        x[q, j0:] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
+        t = _matmul_mod(a[rows, q[0] :], x[q[0] :], p)
+        x[q] = _matmul_mod((p - _unit_upper_inverse(a[rows, q], p)) % p, t, p)
     return x
 
 

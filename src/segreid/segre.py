@@ -8,10 +8,11 @@ j_1 * S_1 + ... + j_m * S_m with strides S_i = prod_{l > i} (n_l + 1).
 This coordinate order is fixed once and recorded in every certificate
 so that hyperplane vectors from different runs are comparable.
 
-Points live here: ``_random_points`` draws a trial's points as one
-array, ``random_point`` one point, and ``coerce_points`` keeps points
-in the package's one affine chart, the one that freezes coordinate 0
-of every factor.  Tangent data is the affine tangent
+Points live here, in the package's one affine chart, the one that
+freezes coordinate 0 of every factor.  ``_random_points`` draws a
+trial's points as one array of nonzero residues, so in the chart, and
+``random_point`` one point; ``coerce_points`` reduces and checks the
+points a caller supplies.  Tangent data is the affine tangent
 frame (``_frames``): the embedded point plus the partials of that
 chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has

@@ -33,6 +33,7 @@ from segreid.terracini import (
     secant_dim_probe,
     terracini_matrix,
 )
+from stream_oracle import ScalarSplitMix64
 
 P = DEFAULT_PRIMES[0]
 
@@ -325,7 +326,7 @@ def test_acceptance_7_property_suites():
         ProductShape((1, 1, 2)),
         ProductShape((1, 2, 1)),
     ]
-    rng = SplitMix64(20260816)
+    rng = ScalarSplitMix64(20260816)
     counts = {
         "multilinearity": _suite_multilinearity(pool, rng),
         "euler": _suite_euler_containment(pool, rng),

@@ -65,6 +65,10 @@ PUBLIC = [
     "write_certificate",
 ]
 
+# The public attributes of a seeded generator: the draws every recorded
+# seed replays.  A draw method added or removed changes this.
+GENERATOR = ["name", "next_u64s", "nonzero_residues", "residues", "seed"]
+
 # Every defaulted parameter of an exported function: a new knob changes this.
 DEFAULTED = {
     "certificate_from_verdict": ("probe", "pins", "wall_time_s"),
@@ -92,6 +96,11 @@ def test_public_names_are_pinned_and_resolve():
     assert all(hasattr(segreid, name) for name in names)
     assert sorted(names) == PUBLIC
     assert len(PUBLIC) == 45
+
+
+def test_generator_attributes_are_pinned():
+    rng = segreid.SplitMix64(0)
+    assert [a for a in dir(rng) if not a.startswith("_")] == GENERATOR
 
 
 def test_defaulted_parameters_are_pinned():

@@ -19,6 +19,7 @@ from segreid.exactlin import SplitMix64, ff_kernel, ff_rank
 from segreid.segre import ProductShape, coerce_points, random_point
 from segreid.tangency import contact_coranks, contact_corank, contact_jacobian, tangency_residuals
 from segreid.terracini import terracini_matrix
+from stream_oracle import ScalarSplitMix64
 
 PRIMES = (3, 65521, 2**31 - 1)
 SHAPES = [(1,) * m for m in range(2, 7)] + [(1, 2, 3), (2, 2, 2), (2, 3, 3)]
@@ -51,7 +52,7 @@ def contact_case(dims, p, seed=0):
     three; a product of two lines allows only one.
     """
     s = ProductShape(dims)
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     count = min(3, s.ambient_dim // (1 + s.dim))
     pts = [random_point(s, rng, p) for _ in range(count)]
     kernel = ff_kernel(oracle.terracini_matrix(s, pts, p), p)

@@ -3,7 +3,7 @@
 A tangency probe draws the points of a trial as one array, fills the
 Hessians of all points by divide and conquer over the factors, and ranks
 every chart Jacobian in one pivot pass over the stack.  Each must match
-what it replaced exactly: the scalar SplitMix64 draws, the per-pair
+what it replaced exactly: the scalar draws of ``stream_oracle``, the per-pair
 contractions of ``contact_oracle``, and ``ff_rank`` together with the
 unblocked echelon of ``echelon_oracle``.
 """
@@ -17,6 +17,7 @@ from segreid import tangency
 from segreid.exactlin import SplitMix64, _ranks, ff_kernel, ff_rank
 from segreid.segre import ProductShape, _random_points, coerce_points, random_point
 from segreid.tangency import contact_coranks
+from stream_oracle import ScalarSplitMix64
 
 PRIMES = (3, 65521, 2**31 - 1)
 U64 = (1 << 64) - 1
@@ -99,7 +100,7 @@ def test_stacked_ranks_of_an_empty_stack():
 def test_five_lines_k4_every_contact_corank_is_one(p):
     # the defective cell of five lines: every contact point has corank 1
     s = ProductShape.binary(5)
-    rng = SplitMix64(7)
+    rng = ScalarSplitMix64(7)
     pts = [random_point(s, rng, p) for _ in range(5)]
     ker = ff_kernel(oracle.terracini_matrix(s, pts, p), p)
     assert len(ker) == 2
@@ -114,20 +115,20 @@ SEEDS = (0, 1, 42, GAMMA, U64)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_draws_replay_the_scalar_stream(seed):
     for p in (2, 3, 97, 65521, 2**31 - 1):
-        vec, scalar = SplitMix64(seed), SplitMix64(seed)
+        vec, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
         assert vec.residues(p, 0).tolist() == []
         assert vec.residues(p, 257).tolist() == [scalar.residue(p) for _ in range(257)]
         if p > 2:
             got = vec.nonzero_residues(p, 33).tolist()
             assert got == [scalar.nonzero_residue(p) for _ in range(33)]
-        assert vec.next_u64() == scalar.next_u64()
+        assert vec.next_u64s(1).tolist() == [scalar.next_u64()]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_points_drawn_as_one_array_replay_the_scalar_stream(seed):
     s = ProductShape((1, 2, 3))
     p = PRIMES[-1]
-    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    vec, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
     qs = _random_points(s, vec, p, 6)
     assert [f.shape for f in qs] == [(6, d) for d in s.coord_sizes]
     flat = np.concatenate(qs, axis=1).ravel().tolist()
@@ -163,9 +164,9 @@ def test_vector_draws_reject_as_the_scalar_draws(target, at, p):
     lim = (1 << 64) - (1 << 64) % p
     u = {"lim": lim, "top": U64, "lim-1": lim - 1}[target]
     seed = (unmix(u) - (at + 1) * GAMMA) & U64
-    scalar = SplitMix64(seed)
+    scalar = ScalarSplitMix64(seed)
     assert [scalar.next_u64() for _ in range(at + 1)][-1] == u
-    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    vec, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
     want = [scalar.residue(p) for _ in range(5)]
     assert vec.residues(p, 5).tolist() == want
     draws = 5 if u < lim else 6

@@ -13,6 +13,7 @@ from segreid.exactlin import (
     ff_kernel,
     ff_rank,
 )
+from stream_oracle import ScalarSplitMix64
 
 P = DEFAULT_PRIMES[0]
 
@@ -49,19 +50,26 @@ def planted(rng, rows, cols, rank, p):
 
 def test_splitmix64_reference_stream():
     # published test vector for the 0 seed
-    r = SplitMix64(0)
-    assert [r.next_u64() for _ in range(4)] == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-        0xF88BB8A8724C81EC,
-    ]
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    assert SplitMix64(0).next_u64s(4).tolist() == want
+    r = ScalarSplitMix64(0)
+    assert [r.next_u64() for _ in range(4)] == want
 
 
 def test_splitmix64_same_seed_same_stream():
     a = SplitMix64(987654321)
     b = SplitMix64(987654321)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+    assert a.next_u64s(50).tolist() == b.next_u64s(50).tolist()
+
+
+@pytest.mark.parametrize("draw", ["next_u64s", "residues", "nonzero_residues"])
+def test_negative_count_raises_before_the_state_moves(draw):
+    rng = SplitMix64(0)
+    args = (-1,) if draw == "next_u64s" else (97, -1)
+    with pytest.raises(ValueError, match="count -1 is negative"):
+        getattr(rng, draw)(*args)
+    assert rng._state == 0
+    assert rng.next_u64s(1).tolist() == [0xE220A8397B1DCDAF]
 
 
 def test_splitmix64_seed_masked_to_64_bits():
@@ -70,10 +78,10 @@ def test_splitmix64_seed_masked_to_64_bits():
 
 def test_residue_ranges():
     rng = SplitMix64(5)
-    for _ in range(500):
-        assert 0 <= rng.residue(97) < 97
-    for _ in range(500):
-        assert 1 <= rng.nonzero_residue(97) < 97
+    r = rng.residues(97, 500)
+    assert 0 <= r.min() and r.max() < 97
+    r = rng.nonzero_residues(97, 500)
+    assert 1 <= r.min() and r.max() < 97
 
 
 def test_check_prime_accepts_defaults_and_small():
@@ -123,7 +131,7 @@ def test_rank_identity_and_zero():
 
 
 def test_rank_planted_grid():
-    rng = SplitMix64(2024)
+    rng = ScalarSplitMix64(2024)
     for p in DEFAULT_PRIMES:
         for rows, cols in [(6, 6), (7, 11), (13, 8), (20, 20)]:
             for rank in range(0, min(rows, cols) + 1, 2):
@@ -132,7 +140,7 @@ def test_rank_planted_grid():
 
 
 def test_rank_matches_sympy_oracle():
-    rng = SplitMix64(31337)
+    rng = ScalarSplitMix64(31337)
     for p in DEFAULT_PRIMES:
         for _ in range(20):
             m = random_matrix(rng, 7, 9, p)
@@ -140,14 +148,14 @@ def test_rank_matches_sympy_oracle():
 
 
 def test_rank_transpose_invariant():
-    rng = SplitMix64(8)
+    rng = ScalarSplitMix64(8)
     for _ in range(30):
         m = planted(rng, 9, 12, 5, P)
         assert ff_rank(m.T, P) == ff_rank(m, P)
 
 
 def test_rank_invariant_under_invertible_factors():
-    rng = SplitMix64(77)
+    rng = ScalarSplitMix64(77)
     for _ in range(20):
         m = planted(rng, 8, 10, 4, P)
         left = planted(rng, 8, 8, 8, P)
@@ -157,7 +165,7 @@ def test_rank_invariant_under_invertible_factors():
 
 
 def test_kernel_exactness_and_size():
-    rng = SplitMix64(404)
+    rng = ScalarSplitMix64(404)
     for p in DEFAULT_PRIMES:
         for _ in range(10):
             m = planted(rng, 9, 14, 6, p)
@@ -169,12 +177,12 @@ def test_kernel_exactness_and_size():
 
 
 def test_kernel_of_full_column_rank_is_empty():
-    m = planted(SplitMix64(1), 10, 6, 6, P)
+    m = planted(ScalarSplitMix64(1), 10, 6, 6, P)
     assert ff_kernel(m, P).shape == (0, 6)
 
 
 def test_rank_nullity_on_random_matrices():
-    rng = SplitMix64(5150)
+    rng = ScalarSplitMix64(5150)
     for _ in range(25):
         m = random_matrix(rng, 8, 12, P)
         assert ff_rank(m, P) + len(ff_kernel(m, P)) == 12

@@ -37,6 +37,7 @@ from segreid.terracini import (
     secant_dim_probe,
     terracini_matrix,
 )
+from stream_oracle import ScalarSplitMix64
 
 P = DEFAULT_PRIMES[0]
 
@@ -69,7 +70,7 @@ def test_kernel_vectors_are_tangent_everywhere():
 
 def test_contact_coranks_five_lines_k4():
     s, pts, ker = points_and_kernel(5, 4)
-    rng = SplitMix64(99)
+    rng = ScalarSplitMix64(99)
     h = (rng.nonzero_residue(P) * ker[0] + rng.nonzero_residue(P) * ker[1]) % P
     assert [contact_corank(s, h, q, P) for q in pts] == [1, 1, 1, 1, 1]
 
@@ -118,7 +119,7 @@ def test_first_order_matches_jacobian():
     h = (3 * ker[0] + 5 * ker[1]) % P
     q = pts[2]
     jac = contact_jacobian(s, h, q, P)
-    rng = SplitMix64(11)
+    rng = ScalarSplitMix64(11)
     for _ in range(10):
         v = np.array([rng.residue(P) for _ in range(s.dim)], dtype=np.int64)
         val, eps = first_order_residuals(s, h, q, v, P)
@@ -129,7 +130,7 @@ def test_first_order_matches_jacobian():
 def test_first_order_value_part_off_contact():
     # at a non-contact point the value part is the residual vector itself
     s = ProductShape.binary(4)
-    rng = SplitMix64(2)
+    rng = ScalarSplitMix64(2)
     q = random_point(s, rng, P)
     h = np.array([rng.residue(P) for _ in range(16)], dtype=np.int64)
     v = np.zeros(4, dtype=np.int64)

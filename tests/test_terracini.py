@@ -11,6 +11,7 @@ from segreid.terracini import (
     DEFECT_CANDIDATE,
     DEFECT_EVIDENCE,
     SecantProbeResult,
+    _trials,
     defect_status,
     expected_dim,
     secant_dim_probe,
@@ -53,6 +54,22 @@ def test_terracini_matrix_single_point_rank():
 def test_terracini_matrix_rejects_empty():
     with pytest.raises(ValueError):
         terracini_matrix(ProductShape.binary(3), [], P)
+
+
+TRIAL_SHAPES = [(1, 2, 3), (2, 2, 2)] + [(1,) * m for m in range(3, 9)]
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2**31 - 1])
+@pytest.mark.parametrize("dims", TRIAL_SHAPES, ids=str)
+def test_trial_matrix_is_the_terracini_matrix_of_its_draws(dims, p):
+    # as many points as the expected dimension allows, in two trials
+    s = ProductShape(dims)
+    k = max(1, s.ambient_dim // (1 + s.dim))
+    for _, qs, mat in _trials(s, k, 2, p, 7):
+        pts = [tuple(f[a] for f in qs) for a in range(k + 1)]
+        want = terracini_matrix(s, pts, p)
+        assert mat.dtype == want.dtype and mat.shape == want.shape
+        assert mat.tobytes() == want.tobytes()
 
 
 def test_rank_probe_holds_one_int32_matrix():
