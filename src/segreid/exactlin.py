@@ -28,21 +28,35 @@ multipliers and the rest of the panel as two products.  The columns
 from there take the pivot loop on all rows.  A matrix of at most
 ``_PLAIN_MAX_COLS`` columns is factored by the pivot loop alone.
 Kernel vectors, one or a whole basis, come from one block
-back-substitution on the factored form (``_kernel``).  The products run
-on float64 BLAS, one per limb of the left factor (``_matmul_mod``).
-For inner dimension n, limbs of
-``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
-keep every limb sum below ``n * 2**b * (p - 1) < 2**53``, where float64
-is exact, so the results do not depend on the summation order, the
-thread count or the BLAS build.  The limbs are recombined in int64
-where their weights cost least.  Where the right operand is smaller
-than the result, as in the trailing update of the rows below the
-pivots, it carries the weights, and the limb products are summed below
-``16 * 2**53 + 2**31`` and reduced once; otherwise, as in the
-back-substitution, Horner's rule on the result stays below
-``2**54 + 2**31`` and reduces once per limb.
-An elimination allocates one workspace for all its products
-(``_workspace``), so they allocate nothing.
+back-substitution on the factored form (``_kernel``).
+
+The products run on float64 BLAS (``_matmul_mod``), and every sum they
+form stays below 2**53, where float64 is exact, so the results do not
+depend on the summation order, the thread count or the BLAS build.  For
+inner dimension n, the left operand x is taken as balanced residues, at
+most (p - 1) / 2 in magnitude, and split into ``limbs`` signed limbs of
+b bits, each at most 2**b in magnitude (``_balance``, ``_split``).
+Side by side, ``per_call`` of them meet the right operand's weighted
+copies ``[y; 2**b y mod p; ...]`` in one product, each of whose sums
+stays below ``per_call * n * 2**b * (p - 1) < 2**53`` (``_limb_rule``,
+``_limb_product``).  At p = 2**31 - 1 and n <= 64 that is two limbs of
+15 bits in one product, as ``2 * 64 * 2**15 * (p - 1) < 2**53``, and at
+every p < 2**31 an inner dimension up to 64 takes one product: the
+trailing update, whose limbs of ``L11^-1`` and ``-L21`` are split once
+for all its slabs, and the window's two products.  Where the right
+operand is larger than the result, as in the back-substitution, each
+limb takes its own product and Horner's rule weighs the results.  The
+product, rounded to int64 and plus a residue, is below
+``2**53 + 2**31`` in magnitude.  An elimination allocates one workspace for all its
+products (``_workspace``), so they allocate nothing.
+
+Every reduction of an int64 temporary but the smallest is a floor
+division, ``x - (x // p) * p`` (``_reduce``), which numpy vectorizes
+and np.remainder is not, and which takes either sign.  So a difference
+is reduced as it stands: a pivot step's row update ``x - f u`` lies
+above ``-(p - 1)**2``, and a step of the triangular inverses, which
+takes two columns at a time, above ``-2 (p - 1)**2``, where
+``2 (p - 1)**2 + p - 1 < 2**63``.
 
 Whatever rows the pivots come from, elimination that takes columns left
 to right finds the same pivot columns, and a kernel vector is fixed by
@@ -159,104 +173,197 @@ _SUB = 16
 # matrix of two panels.
 _PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update.  With _PANEL and the row
-# count it sizes the one workspace of an elimination's products.
-_SLAB = 128
+# count it sizes the one workspace of an elimination's products: per
+# row, two limbs of _PANEL columns and a slab's float64 sum and int64
+# result, 320 eight-byte words.  Slabs of 96 and 128 columns measured
+# within 4% of each other at m=10, and 64 up to 4% slower; 96 keeps the
+# workspace smaller.
+_SLAB = 96
+# Below this many entries np.remainder, one numpy call, reduces faster
+# than the three calls of a floor division; they break even at about
+# 5 us on 1024 int64 entries of mixed signs (2-core Xeon, numpy 2.4).
+_REDUCE_MIN = 1024
 
 
-# dtypes of a product's temporaries: the float64 limb of ``x``, the int64
-# and the float64 right operand, the float64 product and the int64
-# accumulator.
-_LIMB_DTYPES = (np.float64, np.int64, np.float64, np.float64, np.int64)
+def _reduce(x: np.ndarray, p: int, q: np.ndarray | None = None) -> np.ndarray:
+    """``x mod p``, in place, of the int64 array ``x``, whatever its signs.
+
+    Taken as ``x - (x // p) * p``: numpy divides int64 by a scalar with
+    a vectorized multiply and shift (libdivide) but takes np.remainder
+    element by element, which on 128k entries took 2.3x as long on
+    nonnegative input and 6x on mixed signs.  The quotient goes to
+    ``q``, an int64 array of x's shape, or to a fresh one.  Under
+    ``_REDUCE_MIN`` entries it is np.remainder.  Returns ``x``.
+    """
+    if x.size < _REDUCE_MIN:
+        return np.remainder(x, p, out=x)
+    q = np.floor_divide(x, p, out=q)
+    q *= p
+    return np.subtract(x, q, out=x)
 
 
-def _workspace(rows: int, inner: int, cols: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for ``_matmul_mod`` products of at most
-    ``(rows, inner) @ (inner, cols)``, one per temporary."""
-    sizes = (rows * inner, inner * cols, inner * cols, rows * cols, rows * cols)
-    return tuple(np.empty(n, dtype=d) for n, d in zip(sizes, _LIMB_DTYPES))
+def _limb_rule(p: int, n: int) -> tuple[int, int, int]:
+    """``(b, limbs, per_call)`` of an exact product of inner dimension n
+    at p (module docstring).
+
+    A limb of at most ``w = 53 - bitlen(p - 1) - bitlen(n - 1)`` bits,
+    at most 2**w in magnitude, against n residues below p sums below
+    ``n * 2**w * (p - 1) < 2**53``.  A balanced residue, at most
+    (p - 1) / 2 in magnitude, has ``h = bitlen(p - 1) - 1`` bits, so it
+    takes ``limbs = ceil(h / w)`` limbs, the fewest of at most w bits,
+    each ``b = ceil(h / limbs)`` bits wide, the fewest for that many.
+    Then ``per_call = 2**(w - b)`` limbs side by side still sum below
+    ``per_call * n * 2**b * (p - 1) < 2**53``.  Raises ValueError when
+    w < 2.
+    """
+    bits = (p - 1).bit_length()
+    w = 53 - bits - (n - 1).bit_length()
+    if w < 2:
+        raise ValueError(f"inner dimension {n} at p = {p}: limbs would be under 2 bits wide")
+    limbs = -(-(bits - 1) // w)
+    b = -(-(bits - 1) // limbs)
+    return b, limbs, 1 << (w - b)
+
+
+def _carve(buf: np.ndarray | None, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A ``shape`` view of the front of the flat buffer ``buf``, read as
+    ``dtype``, or a fresh array when ``buf`` is None."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    return buf.view(dtype)[: prod(shape)].reshape(shape)
+
+
+def _workspace(rows: int, p: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for the products of an elimination of ``rows`` rows:
+    the limbs of x, up to ``_PANEL`` columns of them, the weighted y, and
+    the float64 sum and the int64 result, ``_SLAB`` columns wide.  The
+    sum's memory also holds the int64 temporaries before it."""
+    w = _limb_rule(p, _PANEL)[1] * _PANEL
+    return (np.empty(rows * w), np.empty(w * _SLAB), np.empty(rows * _SLAB),
+            np.empty(rows * _SLAB, dtype=np.int64))
+
+
+def _balance(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The residues ``x`` with those above (p - 1) / 2 less p, so at most
+    (p - 1) / 2 in magnitude, in x's dtype, in the flat buffer ``out``
+    or a fresh array.  ``(p - 1) // 2 - x`` is negative exactly there,
+    and its sign bit, shifted across, masks p."""
+    xb = np.subtract((p - 1) // 2, x, out=_carve(out, x.shape, x.dtype))
+    xb >>= 8 * xb.itemsize - 1
+    xb &= p
+    return np.subtract(x, xb, out=xb)
+
+
+def _split(xb: np.ndarray, p: int, b: int, limbs: range,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Limbs ``limbs`` of the balanced residues ``xb``, side by side.
+
+    Limb i is the bits of ``xb`` from b*i, as float64: the masked bits,
+    in ``[0, 2**b)``, or for the top limb, the rule's last, the
+    arithmetic shift, in ``[-2**b, 2**b)``, as ``|xb| < 2**h`` and
+    ``b * limbs >= h`` (``_limb_rule``).  Returns the
+    ``(..., rows, len(limbs) * n)`` limbs, limb ``limbs[j]`` in columns
+    ``j*n`` to ``j*n + n``, a view of the flat buffer ``out`` or fresh.
+    """
+    n = xb.shape[-1]
+    xl = _carve(out, xb.shape[:-1] + (len(limbs) * n,))
+    top = -(-((p - 1).bit_length() - 1) // b) - 1
+    for j, i in enumerate(limbs):
+        limb = xl[..., j * n : (j + 1) * n]
+        if i == top:
+            np.right_shift(xb, b * i, out=limb)
+        else:
+            np.bitwise_and(xb, ((1 << b) - 1) << (b * i), out=limb)
+            limb *= 2.0 ** -(b * i)
+    return xl
+
+
+def _limb_product(xl: np.ndarray, y: np.ndarray, p: int, b: int, limbs: range,
+                  plus: np.ndarray | None = None, work=None) -> np.ndarray:
+    """``(plus + sum_i limb_i @ (2**(b*i) y mod p)) mod p`` in one call.
+
+    ``xl`` holds limbs ``limbs`` of some x, side by side (``_split``),
+    so this is ``(plus + x @ y) mod p`` when they are all of x's limbs.
+    ``y`` holds residues; its weighted copies are stacked as
+    ``[y; 2**b y; ...]`` against ``xl``, and the one float64 product is
+    exact when ``len(limbs) <= per_call`` (``_limb_rule``).  It is
+    rounded to int64, ``plus`` added and the sum reduced once.  The
+    temporaries are views of ``work``, a ``_workspace``, and so is the
+    result, which the next call with ``work`` overwrites; without it
+    they are fresh.
+    """
+    fbuf, pbuf, abuf = work[1:] if work is not None else (None, None, None)
+    n, cols = y.shape[-2:]
+    wy = _carve(fbuf, y.shape[:-2] + (len(limbs) * n, cols))
+    for j, i in enumerate(limbs):
+        wj = wy[..., j * n : (j + 1) * n, :]
+        if i:
+            yi = np.left_shift(y, b * i, out=_carve(abuf, y.shape, np.int64), dtype=np.int64)
+            wj[...] = _reduce(yi, p, None if pbuf is None else _carve(pbuf, y.shape, np.int64))
+        else:
+            wj[...] = y
+    # with work the operands are 2-D: the product has xl's rows and y's columns
+    part = np.matmul(xl, wy, out=None if pbuf is None else _carve(pbuf, xl.shape[:-1] + (cols,)))
+    acc = _carve(abuf, part.shape, np.int64)
+    acc[...] = part
+    if plus is not None:
+        acc += plus
+    return _reduce(acc, p, part.view(np.int64))
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
                 weigh_y=None) -> np.ndarray:
-    """Exact ``x @ y mod p`` of residue matrices, one float64 product per limb.
+    """Exact ``(plus + x @ y) mod p`` of residue matrices, as int64.
 
     ``x`` and ``y`` may carry leading batch axes, broadcast as by
     ``np.matmul``: every matrix of the stack is then one such exact
-    product, of the same inner dimension and the same limbs.
-    For inner dimension n, ``x`` is split into limbs of
-    ``b = min(53 - bitlen(p - 1) - bitlen(n - 1), bitlen(p - 1))`` bits
-    and ``y`` is converted whole: each limb product sums n terms below
-    ``2**b * (p - 1)``, so stays below ``n * 2**b * (p - 1) < 2**53``,
-    exact in any order.  Limbs under 2 bits wide are refused, so there
-    are at most 16 limbs at any p.  At the default primes inner
-    dimensions up to 64 take 2 limbs, up to 2048 take 3, and up to 2**20
-    take 16; at p = 1048573 up to 8192 take 1, and up to 2**23 take 2.
-    The limb weights go on ``y`` when it has fewer entries than the
-    result, so is the smaller, and on the result otherwise; at equal
-    sizes that measured the faster.  ``weigh_y`` forces the choice.
+    product.  ``plus``, if given, holds residues of the result's shape.
+    x is balanced and split into limbs (``_limb_rule``), and the limb
+    weights go on y when it has fewer entries than the result, so is
+    the smaller, and on the result otherwise; ``weigh_y`` forces the
+    choice.
 
-    - on ``y``: limb i of ``x`` meets ``y_i = 2**(b*i) * y mod p``, and
-      the limb products are summed in int64 below ``16 * 2**53``, so the
-      result is reduced once;
-    - on the result: Horner's rule from the top limb down in int64,
-      ``acc * 2**b + part < 2**(bitlen(p - 1) + b) + 2**53 <= 2**54``,
-      reduced once per limb.
+    - on y: the limbs go side by side, ``per_call`` to a float64
+      product against ``[y; 2**b y; ...]`` (``_limb_product``), each
+      product reduced with the ones before as its ``plus``; up to inner
+      dimension 64 at every p that is one product;
+    - on the result: one product per limb against y, by Horner's rule
+      from the top limb down in int64, ``acc * 2**b + part`` below
+      ``2**(bitlen(p - 1) + b) + 2**53 <= 2**54``, reduced once per
+      limb, with ``plus`` added before the last reduction.
 
-    With ``plus``, residues of the result's shape, the result is
-    ``(plus + x @ y) mod p`` at no extra reduction: ``plus`` is added
-    before the last one, below ``16 * 2**53 + 2**31`` or
-    ``2**54 + 2**31``.  Every value reduced is nonnegative, which keeps
-    np.remainder fast: on int64 it takes about the same time on
-    nonnegative and on all-negative input, and nearly three times as
-    long on mixed signs.
-    The temporaries are views of ``work``, a ``_workspace`` at least
-    this large, and so is the result, which the next call with ``work``
-    overwrites; without ``work`` they are allocated afresh, and the
-    result is the caller's own.  Raises ValueError when b < 2.
+    With ``work``, the elimination's ``_workspace``, the weights go on
+    y, the inner dimension is at most ``_PANEL``, so there is one
+    product, and the temporaries and the result are views of ``work``,
+    which the next call with it overwrites; without ``work`` the result
+    is the caller's own.  Raises ValueError when limbs would be under 2
+    bits wide.
     """
-    n = x.shape[-1]
-    out = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
-    bits = (p - 1).bit_length()
-    b = min(53 - bits - (n - 1).bit_length(), bits)
-    if b < 2:
-        raise ValueError(
-            f"inner dimension {n} at p = {p}: limbs would be under 2 bits wide"
-        )
+    b, limbs, per_call = _limb_rule(p, x.shape[-1])
     if weigh_y is None:
-        weigh_y = y.size < prod(out)
-    shapes = [x.shape, y.shape if weigh_y else (0,), y.shape, out, out]
-    if work is None:
-        work = [np.empty(prod(s), dtype=d) for s, d in zip(shapes, _LIMB_DTYPES)]
-    limbf, yi, yf, part, acc = (
-        buf[: prod(s)].reshape(s) for buf, s in zip(work, shapes)
-    )
-    top = (bits - 1) // b * b
-    shifts = range(0, top + 1, b) if weigh_y else range(top, -1, -b)
-    yf[...] = y
-    for shift in shifts:
-        # limb (x >> shift) mod 2**b, converted to float64 as it is
-        # stored; the top limb is below 2**b unmasked
-        if shift == top:
-            np.right_shift(x, shift, out=limbf)
+        batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+        weigh_y = work is not None or y.size < prod(batch) * x.shape[-2] * y.shape[-1]
+    # with work, the weights' temporaries overwrite xb only once it is split
+    xb = _balance(x, p, None if work is None else work[2])
+    if weigh_y:
+        for lo in range(0, limbs, per_call):
+            group = range(lo, min(lo + per_call, limbs))
+            xl = _split(xb, p, b, group, None if work is None else work[0])
+            plus = _limb_product(xl, y, p, b, group, plus, work)
+        return plus
+    yf = y.astype(np.float64)
+    acc = None
+    for i in range(limbs - 1, -1, -1):
+        part = np.matmul(_split(xb, p, b, range(i, i + 1)), yf)
+        if acc is None:
+            acc = part.astype(np.int64)
         else:
-            np.bitwise_and(x, ((1 << b) - 1) << shift, out=limbf)
-            np.multiply(limbf, 2.0**-shift, out=limbf)
-        if weigh_y and shift:
-            np.left_shift(y, shift, out=yi, dtype=np.int64)
-            np.remainder(yi, p, out=yf)
-        np.matmul(limbf, yf, out=part)
-        if shift == shifts[0]:
-            acc[...] = part
-        else:
-            if not weigh_y:
-                np.left_shift(acc, b, out=acc)
-            # exact, since part < 2**53
+            acc <<= b
+            # exact, since |part| < 2**53
             np.add(acc, part, out=acc, dtype=np.int64, casting="unsafe")
-        if not weigh_y and shift:
-            np.remainder(acc, p, out=acc)
-    if plus is not None:
-        acc += plus
-    np.remainder(acc, p, out=acc)
+        if i == 0 and plus is not None:
+            acc += plus
+        _reduce(acc, p)
     return acc
 
 
@@ -265,16 +372,19 @@ def _pivot_loop(a: np.ndarray, p: int, c0: int, c1: int, c2: int | None = None,
     """Factor columns ``[c0, c1)`` of ``a``, in place, pivoting from its first row down.
 
     ``a`` is a view of the rows still to be pivoted.  Returns the pivot
-    columns.  Pivot choice is the first nonzero entry of the column; its
-    row is swapped whole up to the next pivot row.  The pivot d stays in
-    place, as L's diagonal, and the pivot row is divided by d right of
-    it, up to ``c2`` (``c1`` by default).  Each row below with a nonzero
-    entry f in the pivot column subtracts f times the pivot row there,
-    with f widened to int64 and one reduction per residue product, and
-    keeps f, its multiplier in L.  Columns from ``c2`` are left to
-    ``_update``.  A column with no nonzero entry from the next pivot row
-    down is skipped, or with ``stop`` ends the loop: on a window of the
-    rows, its first nonzero may lie below the window.
+    columns.  Pivot choice is the first nonzero entry of the column: the
+    next pivot row's own entry, and only where that is 0 a search below;
+    the row found is swapped whole up to the next pivot row.  The pivot
+    d stays in place, as L's diagonal, and the pivot row is divided by d
+    right of it, up to ``c2`` (``c1`` by default).  Every row below, f
+    its entry in the pivot column, becomes ``x - f u`` there, u the
+    pivot row, as one slice: the terms are widened to int64, each
+    difference lies above ``-(p - 1)**2`` and is reduced once, and a row
+    with f = 0 comes out unchanged.  Each row keeps f, its multiplier in
+    L.  Columns from ``c2`` are left to ``_update``.  A column with no
+    nonzero entry from the next pivot row down is skipped, or with
+    ``stop`` ends the loop: on a window of the rows, its first nonzero
+    may lie below the window.
     """
     rows = a.shape[0]
     c2 = c1 if c2 is None else c2
@@ -283,22 +393,20 @@ def _pivot_loop(a: np.ndarray, p: int, c0: int, c1: int, c2: int | None = None,
         r = len(pivots)
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            if stop:
-                break
-            continue
-        if nz[0]:
-            piv = r + int(nz[0])
+        if not a[r, c]:
+            nz = np.flatnonzero(a[r + 1 :, c])
+            if nz.size == 0:
+                if stop:
+                    break
+                continue
+            piv = r + 1 + int(nz[0])
             a[[r, piv]] = a[[piv, r]]
         u = a[r, c + 1 : c2]
         u[...] = u * np.int64(pow(int(a[r, c]), -1, p)) % p
-        # the swapped-down row is zero in column c, so the rows below
-        # with a nonzero there are the rest of nz
-        hit = r + nz[1:]
-        if hit.size:
-            f = a[hit, c, None].astype(np.int64)
-            a[hit, c + 1 : c2] = (a[hit, c + 1 : c2] - f * u) % p
+        rest = a[r + 1 :, c + 1 : c2]
+        if rest.size:
+            t = np.multiply(a[r + 1 :, c, None], u, dtype=np.int64)
+            rest[...] = _reduce(np.subtract(rest, t, out=t), p)
         pivots.append(c)
     return pivots
 
@@ -308,17 +416,23 @@ def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
 
     The diagonal D must be nonzero; entries above it are ignored.  With
     the rows divided by their diagonal entries, ``L = D L'`` and L' is
-    unit lower triangular, inverted in k - 1 steps of column elimination
-    on the identity; then ``L^-1 = L'^-1 D^-1``.  The steps multiply
-    residues, so they run in int64, and so does the returned inverse.
+    unit lower triangular, inverted by column elimination on the
+    identity, two columns a step; then ``L^-1 = L'^-1 D^-1``.  A step
+    takes rows j and j + 1 of the inverse, j final and j + 1 once it
+    subtracts its multiple of row j, from every row below at once: each
+    row less two residue products lies above ``-2 (p - 1)**2``, and
+    ``2 (p - 1)**2 + p - 1 < 2**63``, so one reduction per step keeps
+    it exact in int64.  The inverse is returned in int64.
     """
     k = len(t)
     dinv = np.array([pow(int(d), -1, p) for d in t.diagonal()], dtype=np.int64)
-    t = t * dinv[:, None] % p
+    t = _reduce(t * dinv[:, None], p)
     x = np.eye(k, dtype=np.int64)
-    for j in range(k - 1):
-        x[j + 1 :, : j + 1] = (x[j + 1 :, : j + 1] - t[j + 1 :, j, None] * x[j, : j + 1]) % p
-    return x * dinv % p
+    for j in range(0, k - 1, 2):
+        x[j + 1, : j + 1] = _reduce(x[j + 1, : j + 1] - t[j + 1, j] * x[j, : j + 1], p)
+        rest = x[j + 2 :, : j + 2]
+        rest[...] = _reduce(rest - t[j + 2 :, j : j + 2] @ x[j : j + 2, : j + 2], p)
+    return _reduce(x * dinv, p)
 
 
 def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
@@ -337,28 +451,30 @@ def _update(a: np.ndarray, p: int, piv: list[int], c1: int, c2: int,
     the pivot rows' lower triangle in the pivot columns (its diagonal
     the pivots) and L21 the multipliers below it.  Slab by slab, the
     pivot rows become ``U12 = L11^-1 A12`` and the rows below
-    ``A22 - L21 U12``, which is ``A22 + (-L21) U12``: L21, a copy since
-    ``piv`` is a list, is negated in place once.  Both products take
-    their temporaries from ``work``, a ``_workspace`` for
-    ``(rows, _PANEL, _SLAB)``, so they allocate nothing; only the rows
-    below, gathered by index when some hold no multiplier, are copied.
-    The right operand of the second, the slab of the pivot rows, has
-    ``len(piv)`` rows, usually fewer than the rows below, so that
-    product carries the limb weights on it and is reduced once.
+    ``A22 - L21 U12``, which is ``A22 + (-L21) U12``.  ``L11^-1`` and
+    L21 are split into limbs once, side by side in ``work``'s limb
+    buffer, and L21's limbs are negated, which gives those of -L21; each
+    slab then takes one ``_limb_product`` for each.  ``work`` is a
+    ``_workspace`` for the rows of ``a``, so the products allocate
+    nothing; only the rows below, gathered by index when some hold no
+    multiplier, are copied.
     """
     k = len(piv)
-    linv = _lower_inverse(a[:k, piv], p)
+    b, limbs, _ = _limb_rule(p, k)
+    group = range(limbs)
+    linv = _split(_balance(_lower_inverse(a[:k, piv], p), p, work[2]), p, b, group, work[0])
     l21 = a[k:, piv]
     hit = np.flatnonzero(l21.any(axis=1))
     below = slice(k, None)
     if hit.size < len(l21):
         # rows without a multiplier keep their entries
         l21, below = l21[hit], k + hit
-    np.subtract(p, l21, out=l21, where=l21 != 0)
+    l21 = _split(_balance(l21, p, work[2]), p, b, group, work[0][linv.size :])
+    np.negative(l21, out=l21)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
-        a[:k, s] = _matmul_mod(linv, a[:k, s], p, work=work)
-        a[below, s] = _matmul_mod(l21, a[:k, s], p, plus=a[below, s], work=work)
+        a[:k, s] = _limb_product(linv, a[:k, s], p, b, group, work=work)
+        a[below, s] = _limb_product(l21, a[:k, s], p, b, group, plus=a[below, s], work=work)
 
 
 def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
@@ -375,7 +491,7 @@ def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
     the pivots of the plain loop, found in the same rows.  A row x below
     the window holds ``f U11`` in the k pivot columns, f its multipliers
     and U11 the pivot rows' unit upper triangle there, so two products
-    on ``work``, a ``_workspace`` for ``(rows, _PANEL, _SLAB)``, give it
+    on ``work``, the elimination's ``_workspace``, give it
     ``f = x U11^-1`` and the rest of the panel, ``x' + f (-U12)``; with
     no rows below, there is nothing to multiply.  Returns the pivot
     columns, ``s0`` onward; the caller factors the rest of the
@@ -421,7 +537,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
         pivots = _pivot_loop(a, p, 0, cols)
     else:
         pivots = []
-        work = _workspace(rows, _PANEL, _SLAB)
+        work = _workspace(rows, p)
         for c0 in range(0, cols, _PANEL):
             c1 = min(c0 + _PANEL, cols)
             r0 = len(pivots)
@@ -474,9 +590,9 @@ def _ranks(a: np.ndarray, p: int) -> np.ndarray:
 
     Per column, a matrix's pivot is its first row not yet a pivot with
     a nonzero entry d there; every such row x, f its entry, becomes
-    ``d x + (p - f) u`` right of the column, u the pivot row.  Row order
-    and a nonzero d change no span, so the rank is the pivot count.
-    Each term is below ``p**2``, the sum below ``2**63``, reduced once.
+    ``d x - f u`` right of the column, u the pivot row.  Row order and a
+    nonzero d change no span, so the rank is the pivot count.  Each term
+    is below ``p**2``, the difference above ``-p**2``, reduced once.
     """
     n, rows, cols = a.shape
     free = np.ones((n, rows), dtype=bool)
@@ -489,8 +605,8 @@ def _ranks(a: np.ndarray, p: int) -> np.ndarray:
         free[every[found], r[found]] = False
         rest = a[:, :, c + 1 :]
         rest *= np.where(found, d, 1)[:, None, None]
-        rest += (-f % p)[:, :, None] * u[:, None, :]
-        rest %= p
+        rest -= f[:, :, None] * u[:, None, :]
+        _reduce(rest, p)
     return rows - free.sum(axis=1)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import SplitMix64, _integer_array
+from .exactlin import SplitMix64, _integer_array, _reduce
 
 # One name for the Kronecker coordinate convention, embedded in certificates.
 COORDINATE_ORDER = "lex-leftmost-slowest"
@@ -141,7 +141,7 @@ def segre_embed(shape: ProductShape, point, p: int) -> np.ndarray:
 
 def _kron(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Row-wise Kronecker product of two (N, .) residue arrays, reduced."""
-    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1]) % p
+    return _reduce((x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1]), p)
 
 
 def _partial_products(qs: tuple[np.ndarray, ...], p: int) -> tuple[list, list]:

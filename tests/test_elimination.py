@@ -15,9 +15,13 @@ int64 CUP form value for value, with entries at the int32 limit, on
 Terracini matrices and where a sub-panel's window falls back to the
 pivot loop or takes the last rows; the pivot loop factors views of
 the matrix, never a copy.  ``_matmul_mod`` must be exact with
-its limb weights on either operand, and an elimination's workspace must
-neither leak into a product a caller keeps nor be handed back to the
-system between products.
+its limb weights on either operand, with all the limbs side by side in
+one product where the limb rule allows it and at the balanced extremes
+(p - 1) / 2 and (p + 1) / 2, whose limbs reach 2**b - 1 and -2**b; an
+elimination's product must be one ``np.matmul`` call at every p; and an
+elimination's workspace must neither leak into a product a caller keeps
+nor be handed back to the system between products.  ``_reduce`` must
+agree with Python's ``%`` on int64 values of either sign.
 """
 
 import operator
@@ -408,6 +412,97 @@ def test_limb_product_with_plus_exact(n, p):
         assert got.tolist() == want
 
 
+# Per prime, the largest inner dimension whose limbs one product holds,
+# or one limb, and one more: at P31 two limbs of 15 bits in one product
+# up to 64, two products from 65; at P20 one limb of 19 bits up to
+# 16384, two of 10 bits from 16385, still in one product (up to 2**22);
+# at 3 one limb of 1 bit, in one product up to the refusal at 2**49.
+ONE_PRODUCT = {(P31, 64): (15, 2, 2), (P31, 65): (15, 2, 1), (P20, 16384): (19, 1, 1),
+               (P20, 16385): (10, 2, 256), (3, 64): (1, 1, 1 << 44), (3, 65): (1, 1, 1 << 43)}
+
+
+@pytest.mark.parametrize("p, n", list(ONE_PRODUCT), ids=[f"{n}-{p}" for p, n in ONE_PRODUCT])
+def test_limb_product_holds_the_balanced_extremes(p, n):
+    # x holds the balanced extremes (p - 1) / 2 and (p + 1) / 2, whose
+    # limbs reach 2**b - 1 and -2**b, and y holds p - 1, so a sum comes
+    # within 2**39 of 2**53 at (P31, 64); all limbs side by side in one
+    # product where the rule allows it, and through _matmul_mod, whose
+    # products the rule groups, with and without plus, and on stacks
+    b, limbs, per_call = exactlin._limb_rule(p, n)
+    assert (b, limbs, per_call) == ONE_PRODUCT[p, n]
+    rng = np.random.default_rng([43, n, p])
+    x = np.vstack([np.full((2, n), (p - 1) // 2), np.full((2, n), (p + 1) // 2),
+                   rng.integers(0, p, (2, n)), np.full((1, n), p - 1)])
+    x[[1, 3], ::2] = 0
+    y = np.full((n, 3), p - 1, dtype=np.int64)
+    y[:, 1] = rng.integers(0, p, n)
+    y[::3, 2] = 0
+    plus = rng.integers(0, p, (len(x), 3))
+    plus[0] = p - 1
+    prod = matmul_mod(x, y, p)
+    group = range(limbs)
+    for pl in (None, plus):
+        want = prod if pl is None else (prod + pl) % p
+        if limbs <= per_call:
+            xl = exactlin._split(exactlin._balance(x, p), p, b, group)
+            assert exactlin._limb_product(xl, y, p, b, group, pl).tolist() == want.tolist()
+        assert exactlin._matmul_mod(x, y, p, plus=pl, weigh_y=True).tolist() == want.tolist()
+        # a stack of two x's against one y, and one x against two y's
+        xs, ys = np.stack([x, x[::-1]]), np.stack([y, y[:, ::-1]])
+        pls = None if pl is None else np.stack([pl, pl])
+        got = exactlin._matmul_mod(xs, y, p, plus=pls, weigh_y=True)
+        assert got.tolist() == [want.tolist(), matmul_mod(x[::-1], y, p).tolist()
+                                if pl is None else ((matmul_mod(x[::-1], y, p) + pl) % p).tolist()]
+        got = exactlin._matmul_mod(x, ys, p, plus=pls, weigh_y=True)
+        assert got[0].tolist() == want.tolist()
+        assert got[1].tolist() == (want[:, ::-1] if pl is None
+                                   else (prod[:, ::-1] + pl) % p).tolist()
+
+
+@pytest.mark.parametrize("p", (3, 65521, P20, P31))
+def test_elimination_product_takes_one_matmul(monkeypatch, p):
+    # on the workspace every product of inner dimension up to 64 is one
+    # np.matmul call, at n = 64 and at a sub-panel's 16, the balanced
+    # extremes in x and p - 1 in y and in plus
+    calls = []
+    matmul = np.matmul
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", count)
+    rng = np.random.default_rng([53, p])
+    work = exactlin._workspace(NB + 7, p)
+    for n, cols in ((NB, exactlin._SLAB), (SUB, NB)):
+        x = rng.choice([0, (p - 1) // 2, (p + 1) // 2, p - 1], (NB + 7, n)).astype(np.int32)
+        y = np.full((n, cols), p - 1, dtype=np.int32)
+        plus = np.full((NB + 7, cols), p - 1, dtype=np.int32)
+        want = (matmul_mod(x, y, p) + plus) % p
+        calls.clear()
+        got = exactlin._matmul_mod(x, y, p, plus=plus, work=work)
+        assert len(calls) == 1 and got.tolist() == want.tolist()
+        assert np.shares_memory(got, work[3])
+
+
+@pytest.mark.parametrize("p", (3, 65521, P20, P31))
+def test_reduce_matches_python_mod(p):
+    # int64 values from -(p - 1)**2 to 2**62, mixed signs, both ends
+    # included, below and above the np.remainder cut, and on a strided
+    # view reduced in place
+    rng = np.random.default_rng([47, p])
+    lo, hi = -((p - 1) ** 2), 1 << 62
+    for size in (exactlin._REDUCE_MIN - 1, exactlin._REDUCE_MIN, 3 * exactlin._REDUCE_MIN + 1):
+        x = rng.integers(lo, hi, size, dtype=np.int64, endpoint=True)
+        x[:6] = [lo, hi, -1, 0, 1, p]
+        want = [v % p for v in x.tolist()]
+        assert exactlin._reduce(x.copy(), p).tolist() == want
+        wide = np.zeros((size, 3), dtype=np.int64)
+        wide[:, 1] = x
+        exactlin._reduce(wide[:, 1], p)
+        assert wide[:, 1].tolist() == want and not wide[:, ::2].any()
+
+
 @pytest.mark.parametrize("diagonal", [P31 - 1, P31 - 2, 0])
 @pytest.mark.parametrize("cols", [CROSSOVER, 3 * NB + 5])
 def test_entries_at_int32_limit_match_oracle(path, cols, diagonal):
@@ -433,10 +528,11 @@ def test_entries_at_int32_limit_match_oracle(path, cols, diagonal):
         assert x.dtype == np.int32 and x.T.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("k", [1, SUB, NB])
+@pytest.mark.parametrize("k", [1, 2, 3, SUB - 1, SUB, SUB + 1, NB - 1, NB])
 def test_lower_inverse_at_int32_limit_matches_oracle(k):
     # the pivot block as stored, every entry p - 1; the oracle reduces
-    # [L | I], and [U | I] for the unit upper triangle a window inverts
+    # [L | I], and [U | I] for the unit upper triangle a window inverts;
+    # odd and even k, as the steps take two columns at a time
     t = np.full((k, k), P31 - 1, dtype=np.int32)
     eye = np.eye(k, dtype=np.int64)
     for inverse, tri in ((exactlin._lower_inverse, np.tril(t.astype(np.int64))),
