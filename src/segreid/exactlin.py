@@ -43,12 +43,17 @@ stays below ``per_call * n * 2**b * (p - 1) < 2**53`` (``_limb_rule``,
 15 bits in one product, as ``2 * 64 * 2**15 * (p - 1) < 2**53``, and at
 every p < 2**31 an inner dimension up to 64 takes one product: the
 trailing update, whose limbs of ``L11^-1`` and ``-L21`` are split once
-for all its slabs, and the window's two products.  Where the right
-operand is larger than the result, as in the back-substitution, each
-limb takes its own product and Horner's rule weighs the results.  The
-product, rounded to int64 and plus a residue, is below
-``2**53 + 2**31`` in magnitude.  An elimination allocates one workspace for all its
-products (``_workspace``), so they allocate nothing.
+for all its slabs, and the window's two products.  Each of these takes
+the rows below the pivot block in blocks of ``_ROWS`` rows, against
+weighted copies of its right operand formed once for all the blocks
+(``_weigh``); exact products do not depend on how the rows are
+grouped.  Where the right operand is larger than the result, as in the
+back-substitution, each limb takes its own product and Horner's rule
+weighs the results.  The product, rounded to int64 and plus a residue,
+is below ``2**53 + 2**31`` in magnitude.  An elimination allocates one
+workspace for all its products (``_workspace``), so they allocate
+nothing: the limbs of -L21, at most ``2 * _PANEL`` words a row, and a
+block's sum and result, which do not grow with the matrix.
 
 Every reduction of an int64 temporary but the smallest is a floor
 division, ``x - (x // p) * p`` (``_reduce``), which numpy vectorizes
@@ -172,13 +177,21 @@ _SUB = 16
 # elimination, whose bookkeeping costs more than it saves on a
 # matrix of two panels.
 _PLAIN_MAX_COLS = 2 * _PANEL
-# Columns per slab of the trailing update.  With _PANEL and the row
-# count it sizes the one workspace of an elimination's products: per
-# row, two limbs of _PANEL columns and a slab's float64 sum and int64
-# result, 320 eight-byte words.  Slabs of 96 and 128 columns measured
-# within 4% of each other at m=10, and 64 up to 4% slower; 96 keeps the
-# workspace smaller.
+# Columns per slab of the trailing update.  Slabs of 96 and 128 columns
+# measured within 4% of each other at m=10, and 64 up to 4% slower; 96
+# keeps the workspace smaller.
 _SLAB = 96
+# Rows per block of every product over the rows below a pivot block.
+# With _PANEL and _SLAB it sizes the one workspace of an elimination's
+# products (``_workspace``): per row, two limbs of _PANEL columns, 128
+# eight-byte words, and for one block a float64 sum and an int64
+# result of max(_SLAB, _PANEL) columns, 2 * 256 * 96 words.  At m=10
+# k=40, 90 and 93, against a sum and result as tall as the matrix (320
+# words a row in all), blocks of 256 rows factored in 1.00-1.07x the
+# time, the traced peak at k=90 2.02 MB for 3.06 MB; 128 rows took
+# 1.03-1.18x for 0.2 MB less, 512 0.98-1.05x for 0.4 MB more (2-core
+# Xeon, numpy 2.4, OpenBLAS).
+_ROWS = 256
 # Below this many entries np.remainder, one numpy call, reduces faster
 # than the three calls of a floor division; they break even at about
 # 5 us on 1024 int64 entries of mixed signs (2-core Xeon, numpy 2.4).
@@ -235,12 +248,17 @@ def _carve(buf: np.ndarray | None, shape: tuple, dtype=np.float64) -> np.ndarray
 
 def _workspace(rows: int, p: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for the products of an elimination of ``rows`` rows:
-    the limbs of x, up to ``_PANEL`` columns of them, the weighted y, and
-    the float64 sum and the int64 result, ``_SLAB`` columns wide.  The
-    sum's memory also holds the int64 temporaries before it."""
+    the limbs of x, up to ``_PANEL`` columns of them for every row, the
+    weighted y, and the float64 sum and the int64 result of a block of
+    ``_ROWS`` rows, ``max(_SLAB, _PANEL)`` columns wide.  Only the limbs
+    grow with the matrix, at most ``2 * _PANEL`` words a row at p < 2**31.
+    The sum's memory also holds a block of L21 balanced, the limb
+    buffer past a window's limbs its balanced x, and the sum's and the
+    result's the int64 temporaries of the weights."""
     w = _limb_rule(p, _PANEL)[1] * _PANEL
-    return (np.empty(rows * w), np.empty(w * _SLAB), np.empty(rows * _SLAB),
-            np.empty(rows * _SLAB, dtype=np.int64))
+    cols = max(_SLAB, _PANEL)
+    return (np.empty(rows * w), np.empty(w * cols), np.empty(_ROWS * cols),
+            np.empty(_ROWS * cols, dtype=np.int64))
 
 
 def _balance(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -278,41 +296,55 @@ def _split(xb: np.ndarray, p: int, b: int, limbs: range,
     return xl
 
 
-def _limb_product(xl: np.ndarray, y: np.ndarray, p: int, b: int, limbs: range,
-                  plus: np.ndarray | None = None, work=None) -> np.ndarray:
-    """``(plus + sum_i limb_i @ (2**(b*i) y mod p)) mod p`` in one call.
+def _weigh(y: np.ndarray, p: int, b: int, limbs: range, work=None) -> np.ndarray:
+    """The weighted copies ``[2**(b*i) y mod p for i in limbs]`` of the
+    residues ``y``, stacked along its rows as float64.
 
-    ``xl`` holds limbs ``limbs`` of some x, side by side (``_split``),
-    so this is ``(plus + x @ y) mod p`` when they are all of x's limbs.
-    ``y`` holds residues; its weighted copies are stacked as
-    ``[y; 2**b y; ...]`` against ``xl``, and the one float64 product is
-    exact when ``len(limbs) <= per_call`` (``_limb_rule``).  It is
-    rounded to int64, ``plus`` added and the sum reduced once.  The
-    temporaries are views of ``work``, a ``_workspace``, and so is the
-    result, which the next call with ``work`` overwrites; without it
-    they are fresh.
+    With ``work``, a ``_workspace``, they are a view of its weights
+    buffer and their int64 temporaries views of its sum and result,
+    which the next product with ``work`` overwrites; without it they are
+    fresh.
     """
-    fbuf, pbuf, abuf = work[1:] if work is not None else (None, None, None)
-    n, cols = y.shape[-2:]
-    wy = _carve(fbuf, y.shape[:-2] + (len(limbs) * n, cols))
+    wbuf, sbuf, rbuf = work[1:] if work is not None else (None, None, None)
+    n = y.shape[-2]
+    wy = _carve(wbuf, y.shape[:-2] + (len(limbs) * n, y.shape[-1]))
     for j, i in enumerate(limbs):
         wj = wy[..., j * n : (j + 1) * n, :]
         if i:
-            yi = np.left_shift(y, b * i, out=_carve(abuf, y.shape, np.int64), dtype=np.int64)
-            wj[...] = _reduce(yi, p, None if pbuf is None else _carve(pbuf, y.shape, np.int64))
+            yi = np.left_shift(y, b * i, out=_carve(rbuf, y.shape, np.int64), dtype=np.int64)
+            wj[...] = _reduce(yi, p, None if sbuf is None else _carve(sbuf, y.shape, np.int64))
         else:
             wj[...] = y
-    # with work the operands are 2-D: the product has xl's rows and y's columns
-    part = np.matmul(xl, wy, out=None if pbuf is None else _carve(pbuf, xl.shape[:-1] + (cols,)))
-    acc = _carve(abuf, part.shape, np.int64)
+    return wy
+
+
+def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, plus: np.ndarray | None = None,
+                  work=None) -> np.ndarray:
+    """``(plus + xl @ wy) mod p`` in one float64 product.
+
+    ``xl`` holds limbs of some x, side by side (``_split``), and ``wy``
+    the matching weighted copies of some y (``_weigh``), so this is
+    ``(plus + sum_i limb_i @ (2**(b*i) y mod p)) mod p``, which is
+    ``(plus + x @ y) mod p`` when they are all of x's limbs.  The
+    product is exact when there are at most ``per_call`` of them
+    (``_limb_rule``).  It is rounded to int64, ``plus`` added and the
+    sum reduced once.  The temporaries are views of ``work``, a
+    ``_workspace``, and so is the result, which the next call with
+    ``work`` overwrites; then ``xl`` has at most ``_ROWS`` rows and
+    ``wy`` at most ``max(_SLAB, _PANEL)`` columns.  Without ``work``
+    they are fresh.
+    """
+    sbuf, rbuf = work[2:] if work is not None else (None, None)
+    # with work the operands are 2-D: the product has xl's rows and wy's columns
+    part = np.matmul(xl, wy, out=None if sbuf is None else _carve(sbuf, (len(xl), wy.shape[1])))
+    acc = _carve(rbuf, part.shape, np.int64)
     acc[...] = part
     if plus is not None:
         acc += plus
     return _reduce(acc, p, part.view(np.int64))
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
-                weigh_y=None) -> np.ndarray:
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, weigh_y=None) -> np.ndarray:
     """Exact ``(plus + x @ y) mod p`` of residue matrices, as int64.
 
     ``x`` and ``y`` may carry leading batch axes, broadcast as by
@@ -324,32 +356,27 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, work=None,
     choice.
 
     - on y: the limbs go side by side, ``per_call`` to a float64
-      product against ``[y; 2**b y; ...]`` (``_limb_product``), each
-      product reduced with the ones before as its ``plus``; up to inner
-      dimension 64 at every p that is one product;
+      product against ``[y; 2**b y; ...]`` (``_weigh``,
+      ``_limb_product``), each product reduced with the ones before as
+      its ``plus``; up to inner dimension 64 at every p that is one
+      product;
     - on the result: one product per limb against y, by Horner's rule
       from the top limb down in int64, ``acc * 2**b + part`` below
       ``2**(bitlen(p - 1) + b) + 2**53 <= 2**54``, reduced once per
       limb, with ``plus`` added before the last reduction.
 
-    With ``work``, the elimination's ``_workspace``, the weights go on
-    y, the inner dimension is at most ``_PANEL``, so there is one
-    product, and the temporaries and the result are views of ``work``,
-    which the next call with it overwrites; without ``work`` the result
-    is the caller's own.  Raises ValueError when limbs would be under 2
-    bits wide.
+    The result is the caller's own.  Raises ValueError when limbs would
+    be under 2 bits wide.
     """
     b, limbs, per_call = _limb_rule(p, x.shape[-1])
     if weigh_y is None:
         batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-        weigh_y = work is not None or y.size < prod(batch) * x.shape[-2] * y.shape[-1]
-    # with work, the weights' temporaries overwrite xb only once it is split
-    xb = _balance(x, p, None if work is None else work[2])
+        weigh_y = y.size < prod(batch) * x.shape[-2] * y.shape[-1]
+    xb = _balance(x, p)
     if weigh_y:
         for lo in range(0, limbs, per_call):
             group = range(lo, min(lo + per_call, limbs))
-            xl = _split(xb, p, b, group, None if work is None else work[0])
-            plus = _limb_product(xl, y, p, b, group, plus, work)
+            plus = _limb_product(_split(xb, p, b, group), _weigh(y, p, b, group), p, plus)
         return plus
     yf = y.astype(np.float64)
     acc = None
@@ -453,28 +480,40 @@ def _update(a: np.ndarray, p: int, piv: list[int], c1: int, c2: int,
     pivot rows become ``U12 = L11^-1 A12`` and the rows below
     ``A22 - L21 U12``, which is ``A22 + (-L21) U12``.  ``L11^-1`` and
     L21 are split into limbs once, side by side in ``work``'s limb
-    buffer, and L21's limbs are negated, which gives those of -L21; each
-    slab then takes one ``_limb_product`` for each.  ``work`` is a
+    buffer, L21 a block of ``_ROWS`` rows at a time, and L21's limbs
+    are negated, which gives those of -L21.  Each slab weighs A12 and
+    then U12 once, and takes one ``_limb_product`` for the pivot rows
+    and one for each block of ``_ROWS`` rows below.  ``work`` is a
     ``_workspace`` for the rows of ``a``, so the products allocate
-    nothing; only the rows below, gathered by index when some hold no
-    multiplier, are copied.
+    nothing; only the rows below, gathered by index once a slab when
+    some hold no multiplier, are copied.
     """
     k = len(piv)
     b, limbs, _ = _limb_rule(p, k)
-    group = range(limbs)
+    group, w = range(limbs), limbs * k
     linv = _split(_balance(_lower_inverse(a[:k, piv], p), p, work[2]), p, b, group, work[0])
     l21 = a[k:, piv]
     hit = np.flatnonzero(l21.any(axis=1))
-    below = slice(k, None)
-    if hit.size < len(l21):
+    below, gather = slice(k, None), hit.size < len(l21)
+    if gather:
         # rows without a multiplier keep their entries
         l21, below = l21[hit], k + hit
-    l21 = _split(_balance(l21, p, work[2]), p, b, group, work[0][linv.size :])
+    limb = work[0][linv.size :]
+    for r in range(0, len(l21), _ROWS):
+        _split(_balance(l21[r : r + _ROWS], p, work[2]), p, b, group, limb[r * w :])
+    l21 = _carve(limb, (len(l21), w))
     np.negative(l21, out=l21)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
-        a[:k, s] = _limb_product(linv, a[:k, s], p, b, group, work=work)
-        a[below, s] = _limb_product(l21, a[:k, s], p, b, group, plus=a[below, s], work=work)
+        a[:k, s] = _limb_product(linv, _weigh(a[:k, s], p, b, group, work), p, work=work)
+        wy = _weigh(a[:k, s], p, b, group, work)
+        # a view of the rows below, or their gathered copy
+        x = a[below, s]
+        for r in range(0, len(x), _ROWS):
+            rs = slice(r, r + _ROWS)
+            x[rs] = _limb_product(l21[rs], wy, p, plus=x[rs], work=work)
+        if gather:
+            a[below, s] = x
 
 
 def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
@@ -491,20 +530,31 @@ def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
     the pivots of the plain loop, found in the same rows.  A row x below
     the window holds ``f U11`` in the k pivot columns, f its multipliers
     and U11 the pivot rows' unit upper triangle there, so two products
-    on ``work``, the elimination's ``_workspace``, give it
-    ``f = x U11^-1`` and the rest of the panel, ``x' + f (-U12)``; with
-    no rows below, there is nothing to multiply.  Returns the pivot
-    columns, ``s0`` onward; the caller factors the rest of the
-    sub-panel on all rows.
+    give it ``f = x U11^-1`` and then the rest of the panel,
+    ``x' + f (-U12)``.  Each weighs its right operand once, splits the
+    limbs of all the rows below into ``work``'s limb buffer, and takes
+    one ``_limb_product`` for each block of ``_ROWS`` of them, on
+    ``work``, the elimination's ``_workspace``; with no rows below,
+    there is nothing to multiply.  Returns the pivot columns, ``s0`` onward; the caller
+    factors the rest of the sub-panel on all rows.
     """
     k = len(_pivot_loop(a[:_PANEL], p, s0, s1, c1, stop=True))
     below, t = a[_PANEL:], s0 + k
     if k and len(below):
-        below[:, s0:t] = _matmul_mod(below[:, s0:t], _unit_upper_inverse(a[:k, s0:t], p), p,
-                                     work=work)
-        if t < c1:
-            below[:, t:c1] = _matmul_mod(below[:, s0:t], -a[:k, t:c1] % p, p,
-                                         plus=below[:, t:c1], work=work)
+        b, limbs, _ = _limb_rule(p, k)
+        group = range(limbs)
+        # the balanced residues go in the limb buffer past the limbs
+        xb = work[0][len(below) * limbs * k :]
+        for y, cols, plus in ((_unit_upper_inverse(a[:k, s0:t], p), slice(s0, t), False),
+                              (-a[:k, t:c1] % p, slice(t, c1), True)):
+            if not y.size:
+                break
+            wy = _weigh(y, p, b, group, work)
+            xl = _split(_balance(below[:, s0:t], p, xb), p, b, group, work[0])
+            for r in range(0, len(below), _ROWS):
+                x = below[r : r + _ROWS]
+                x[:, cols] = _limb_product(xl[r : r + _ROWS], wy, p,
+                                           plus=x[:, cols] if plus else None, work=work)
     return list(range(s0, t))
 
 

@@ -217,6 +217,8 @@ def contact_coranks(shape: ProductShape, h, points, p: int) -> tuple[int, ...]:
 
 def _contact_coranks(shape: ProductShape, h, qs, p: int) -> tuple[int, ...]:
     """``contact_coranks`` at points already stacked per factor and in the chart."""
+    if not len(qs[0]):
+        return ()
     hess = _hessians(shape, h, qs, p)
     bad = np.flatnonzero(_residuals(hess, qs, p).any(axis=1))
     if bad.size:

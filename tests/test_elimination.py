@@ -14,7 +14,10 @@ The factored int32 matrix itself must equal the oracle's unblocked
 int64 CUP form value for value, with entries at the int32 limit, on
 Terracini matrices and where a sub-panel's window falls back to the
 pivot loop or takes the last rows; the pivot loop factors views of
-the matrix, never a copy.  ``_matmul_mod`` must be exact with
+the matrix, never a copy.  The window's and the trailing update's
+products, taken ``_ROWS`` rows at a time, must leave the oracle's
+factored matrix with the rows below at the edges of those blocks, the
+update's gathered or not.  ``_matmul_mod`` must be exact with
 its limb weights on either operand, with all the limbs side by side in
 one product where the limb rule allows it and at the balanced extremes
 (p - 1) / 2 and (p + 1) / 2, whose limbs reach 2**b - 1 and -2**b; an
@@ -284,16 +287,17 @@ def test_sub_panel_without_pivot_matches_oracle(path, p):
 
 @pytest.fixture
 def windows(monkeypatch):
-    # (rows of the view, first column, pivots found, products taken) of
-    # each window factored; factor_with_windows turns the view's rows
-    # into its first row
+    # (rows of the view, first column, pivots found, block products taken)
+    # of each window factored; factor_with_windows turns the view's rows
+    # into its first row.  Every test here leaves fewer than _ROWS rows
+    # below a window, so each of its two products is one block.
     calls = []
-    window, matmul_mod = exactlin._window, exactlin._matmul_mod
+    window, limb_product = exactlin._window, exactlin._limb_product
     products = []
 
     def count(*args, **kwargs):
         products.append(1)
-        return matmul_mod(*args, **kwargs)
+        return limb_product(*args, **kwargs)
 
     def spy(a, p, s0, *args):
         products.clear()
@@ -302,7 +306,7 @@ def windows(monkeypatch):
         return piv
 
     monkeypatch.setattr(exactlin, "_window", spy)
-    monkeypatch.setattr(exactlin, "_matmul_mod", count)
+    monkeypatch.setattr(exactlin, "_limb_product", count)
     return calls
 
 
@@ -359,6 +363,59 @@ def test_window_at_the_last_rows_meets_a_column_without_nonzero(windows, p):
     pivots, calls = factor_with_windows(m, p, windows)
     assert pivots[: 2 * SUB - 1] == [c for c in range(2 * SUB) if c != SUB + 3]
     assert calls[:3] == [(0, 0, SUB, 2), (SUB, SUB, 3, 0), (2 * SUB - 1, 2 * SUB, SUB, 0)]
+
+
+ROWS = exactlin._ROWS
+
+
+def row_blocks(n):
+    return [min(ROWS, n - r) for r in range(0, n, ROWS)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("below", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("unhit", [0, 5])
+def test_row_blocks_match_oracle(monkeypatch, unhit, below, p):
+    # below rows below the first window and below the first panel's 64
+    # pivot rows, at the edges of the row blocks: the window's two
+    # products and each slab of the panel's update take them _ROWS at a
+    # time.  With unhit rows more, zero in the first panel, the update
+    # gathers the rows holding a multiplier, and it is those that fall at
+    # the edges; every product must leave the oracle's factored matrix.
+    rng = np.random.default_rng([59, below, unhit, p])
+    rows = NB + below + unhit
+    m = rng.integers(0, p, (rows, 3 * NB + 5))
+    m[rows - 1 - 7 * np.arange(unhit), :NB] = 0
+    # rows of each block product taken in the first window and the first update
+    seen = {}
+    current = []
+    limb_product = exactlin._limb_product
+
+    def count(xl, *args, **kwargs):
+        current.append(len(xl))
+        return limb_product(xl, *args, **kwargs)
+
+    def spy(name):
+        step = getattr(exactlin, name)
+
+        def call(*args):
+            current.clear()
+            out = step(*args)
+            seen.setdefault(name, list(current))
+            return out
+
+        monkeypatch.setattr(exactlin, name, call)
+
+    monkeypatch.setattr(exactlin, "_limb_product", count)
+    spy("_window")
+    spy("_update")
+    want, pivots = cup(m, p)
+    a = exactlin._as_matrix(m, p)
+    assert exactlin._eliminate(a, p) == pivots
+    assert a.tolist() == want.tolist()
+    assert seen["_window"] == 2 * row_blocks(below + unhit)
+    # two slabs right of the first panel: the pivot rows, then the rows below
+    assert seen["_update"] == 2 * ([NB] + row_blocks(below))
 
 
 def test_blocked_elimination_factors_views_of_the_matrix(monkeypatch):
@@ -445,7 +502,8 @@ def test_limb_product_holds_the_balanced_extremes(p, n):
         want = prod if pl is None else (prod + pl) % p
         if limbs <= per_call:
             xl = exactlin._split(exactlin._balance(x, p), p, b, group)
-            assert exactlin._limb_product(xl, y, p, b, group, pl).tolist() == want.tolist()
+            wy = exactlin._weigh(y, p, b, group)
+            assert exactlin._limb_product(xl, wy, p, pl).tolist() == want.tolist()
         assert exactlin._matmul_mod(x, y, p, plus=pl, weigh_y=True).tolist() == want.tolist()
         # a stack of two x's against one y, and one x against two y's
         xs, ys = np.stack([x, x[::-1]]), np.stack([y, y[:, ::-1]])
@@ -460,10 +518,19 @@ def test_limb_product_holds_the_balanced_extremes(p, n):
 
 
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))
+def test_limb_rule_takes_one_product_up_to_a_panel(p):
+    # _update and _window split all the limbs of an inner dimension up to
+    # _PANEL side by side and take them in one _limb_product
+    b, limbs, per_call = exactlin._limb_rule(p, NB)
+    assert limbs <= per_call
+    assert all(exactlin._limb_rule(p, n)[1] <= limbs for n in range(1, NB))
+
+
+@pytest.mark.parametrize("p", (3, 65521, P20, P31))
 def test_elimination_product_takes_one_matmul(monkeypatch, p):
     # on the workspace every product of inner dimension up to 64 is one
     # np.matmul call, at n = 64 and at a sub-panel's 16, the balanced
-    # extremes in x and p - 1 in y and in plus
+    # extremes in x and p - 1 in y and in plus, on a block of _ROWS rows
     calls = []
     matmul = np.matmul
 
@@ -473,14 +540,19 @@ def test_elimination_product_takes_one_matmul(monkeypatch, p):
 
     monkeypatch.setattr(np, "matmul", count)
     rng = np.random.default_rng([53, p])
-    work = exactlin._workspace(NB + 7, p)
+    rows = exactlin._ROWS
+    work = exactlin._workspace(rows, p)
     for n, cols in ((NB, exactlin._SLAB), (SUB, NB)):
-        x = rng.choice([0, (p - 1) // 2, (p + 1) // 2, p - 1], (NB + 7, n)).astype(np.int32)
+        b, limbs, _ = exactlin._limb_rule(p, n)
+        group = range(limbs)
+        x = rng.choice([0, (p - 1) // 2, (p + 1) // 2, p - 1], (rows, n)).astype(np.int32)
         y = np.full((n, cols), p - 1, dtype=np.int32)
-        plus = np.full((NB + 7, cols), p - 1, dtype=np.int32)
+        plus = np.full((rows, cols), p - 1, dtype=np.int32)
         want = (matmul_mod(x, y, p) + plus) % p
+        xl = exactlin._split(exactlin._balance(x, p, work[2]), p, b, group, work[0])
+        wy = exactlin._weigh(y, p, b, group, work)
         calls.clear()
-        got = exactlin._matmul_mod(x, y, p, plus=plus, work=work)
+        got = exactlin._limb_product(xl, wy, p, plus=plus, work=work)
         assert len(calls) == 1 and got.tolist() == want.tolist()
         assert np.shares_memory(got, work[3])
 

@@ -23,6 +23,7 @@ from segreid.tangency import (
     Verdict,
     VerdictStatus,
     contact_corank,
+    contact_coranks,
     contact_jacobian,
     identifiability_verdict,
     order_one_applicable,
@@ -73,6 +74,12 @@ def test_contact_coranks_five_lines_k4():
     rng = ScalarSplitMix64(99)
     h = (rng.nonzero_residue(P) * ker[0] + rng.nonzero_residue(P) * ker[1]) % P
     assert [contact_corank(s, h, q, P) for q in pts] == [1, 1, 1, 1, 1]
+
+
+def test_contact_coranks_of_no_points_is_empty():
+    # no point to rank: no Hessian stack is filled
+    s, pts, ker = points_and_kernel(5, 4)
+    assert contact_coranks(s, ker[0], [], P) == ()
 
 
 def test_contact_corank_rejects_non_contact_point():

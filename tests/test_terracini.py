@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segreid import exactlin
 from segreid.exactlin import DEFAULT_PRIMES, SplitMix64, ff_rank
 from segreid.segre import ProductShape, random_point
 from segreid.tangency import weak_defectivity_probe
@@ -89,10 +90,11 @@ def test_rank_probe_holds_one_int32_matrix():
 
 
 def test_tangency_probe_holds_one_int32_matrix():
-    # probe-m10's first cell, whose elimination's workspace is sized for
-    # all 451 rows of its 451x1024 matrix: the peak (3.11 MB with fresh
-    # temporaries per product, 3.48 MB with the workspace) stays below
-    # one int64 copy of the matrix, 3.69 MB
+    # probe-m10's first cell, whose elimination's workspace holds the
+    # limbs of all 451 rows of its 451x1024 matrix and the sum and result
+    # of a block of rows: the peak (3.11 MB with fresh temporaries per
+    # product, 3.35 MB with a sum and result as tall as the matrix, 3.08
+    # MB with blocks) stays below one int64 copy of the matrix, 3.69 MB
     s = ProductShape.binary(10)
     bound = 41 * (1 + s.dim) * (s.ambient_dim + 1) * 8
     tracemalloc.start()
@@ -104,6 +106,28 @@ def test_tangency_probe_holds_one_int32_matrix():
     finally:
         tracemalloc.stop()
     assert peak < bound == 3_694_592
+
+
+def test_rank_probe_workspace_grows_only_with_limbs():
+    # m=11 k=169 factors its 2040x2048 matrix in place.  The elimination's
+    # workspace grows with the rows only by -L21's limbs, 128 words a row,
+    # and holds the sum and result of a block of _ROWS rows: 2.58 MB.
+    # Above the int32 matrix the peak stays below twice that (3.99 MB
+    # measured); with a sum and result as tall as the matrix, 320 words a
+    # row, it was 6.48 MB.
+    s = ProductShape.binary(11)
+    rows = 170 * (1 + s.dim)
+    matrix = rows * (s.ambient_dim + 1) * 4
+    bound = 2 * sum(buf.nbytes for buf in exactlin._workspace(rows, P))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert secant_dim_probe(s, 169).defect == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - matrix < bound == 5_160_960
 
 
 def test_probe_three_lines_fills():
