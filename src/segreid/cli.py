@@ -367,14 +367,17 @@ def _checked(parse):
     return convert
 
 
-def _int_at_least(low):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low, below=None):
+    """argparse type: an integer no smaller than ``low``, and less than
+    ``below`` when given."""
 
     @_checked
     def parse(text):
         value = int(text)
         if value < low:
             raise ValueError("need >= %d, got %d" % (low, value))
+        if below is not None and value >= below:
+            raise ValueError("need < %d, got %d" % (below, value))
         return value
 
     return parse
@@ -439,8 +442,10 @@ def build_parser():
     pins.add_argument("--primes", type=_parse_primes, default=DEFAULT_PRIMES,
                       metavar="P1,P2,...", help="primes below 2**31 to probe on "
                       "(default: the three largest)")
-    pins.add_argument("--seed", type=_int_at_least(0), default=0, help="probe seed; a "
-                      "sweep derives each cell's seed by hashing (shape, k, prime) with it")
+    # SplitMix64 takes its seed mod 2**64, so a larger one would alias a smaller
+    pins.add_argument("--seed", type=_int_at_least(0, 1 << 64), default=0,
+                      help="probe seed, below 2**64; a sweep derives each cell's seed by "
+                      "hashing (shape, k, prime) with it")
     store = argparse.ArgumentParser(add_help=False)
     # argparse runs a string default through its type, so $SEGREID_STORE is checked too
     store.add_argument("--store", type=_store_dir, default=os.environ.get(ENV_STORE, ""),

@@ -30,30 +30,31 @@ from there take the pivot loop on all rows.  A matrix of at most
 Kernel vectors, one or a whole basis, come from one block
 back-substitution on the factored form (``_kernel``).
 
-The products run on float64 BLAS (``_matmul_mod``), and every sum they
-form stays below 2**53, where float64 is exact, so the results do not
-depend on the summation order, the thread count or the BLAS build.  For
-inner dimension n, the left operand x is taken as balanced residues, at
-most (p - 1) / 2 in magnitude, and split into ``limbs`` signed limbs of
-b bits, each at most 2**b in magnitude (``_balance``, ``_split``).
-Side by side, ``per_call`` of them meet the right operand's weighted
-copies ``[y; 2**b y mod p; ...]`` in one product, each of whose sums
-stays below ``per_call * n * 2**b * (p - 1) < 2**53`` (``_limb_rule``,
-``_limb_product``).  At p = 2**31 - 1 and n <= 64 that is two limbs of
-15 bits in one product, as ``2 * 64 * 2**15 * (p - 1) < 2**53``, and at
-every p < 2**31 an inner dimension up to 64 takes one product: the
-trailing update, whose limbs of ``L11^-1`` and ``-L21`` are split once
-for all its slabs, and the window's two products.  Each of these takes
-the rows below the pivot block in blocks of ``_ROWS`` rows, against
-weighted copies of its right operand formed once for all the blocks
-(``_weigh``); exact products do not depend on how the rows are
-grouped.  Where the right operand is larger than the result, as in the
-back-substitution, each limb takes its own product and Horner's rule
-weighs the results.  The product, rounded to int64 and plus a residue,
-is below ``2**53 + 2**31`` in magnitude.  An elimination allocates one
-workspace for all its products (``_workspace``), so they allocate
-nothing: the limbs of -L21, at most ``2 * _PANEL`` words a row, and a
-block's sum and result, which do not grow with the matrix.
+The products run on float64 BLAS, and every sum they form stays below
+2**53, where float64 is exact, so the results do not depend on the
+summation order, the thread count or the BLAS build.  For inner
+dimension n, the left operand x is taken as balanced residues, at most
+(p - 1) / 2 in magnitude, and split into ``limbs`` signed limbs of b
+bits, each at most 2**b in magnitude (``_limb_rule``, ``_balance``,
+``_split``).  Each product has one path.  ``_matmul_mod``, which serves
+the back-substitution and the contact Hessians, takes one product per
+limb against y and weighs the results by Horner's rule in int64.  The
+elimination's products, the trailing update's and the window's two,
+have n <= 64 and put the limbs side by side against the right
+operand's weighted copies ``[y; 2**b y mod p; ...]`` (``_weigh``), in
+one product whose sums stay below
+``per_call * n * 2**b * (p - 1) < 2**53`` (``_limb_product``): at
+every p < 2**31 all the limbs fit, at p = 2**31 - 1 two of 15 bits, as
+``2 * 64 * 2**15 * (p - 1) < 2**53``.  The update splits the limbs of
+``L11^-1`` and ``-L21`` once for all its slabs.  Each product takes
+the rows below the pivot block in blocks of ``_ROWS`` rows against
+weights formed once for all the blocks; exact products do not depend
+on how the rows are grouped.  A block's product, rounded to int64 and
+plus a residue, is below ``2**53 + 2**31`` in magnitude.  An
+elimination allocates one workspace for all its products
+(``_workspace``), so they allocate nothing: the limbs of -L21, at most
+``2 * _PANEL`` words a row, and a block's sum and result, which do not
+grow with the matrix.
 
 Every reduction of an int64 temporary but the smallest is a floor
 division, ``x - (x // p) * p`` (``_reduce``), which numpy vectorizes
@@ -252,8 +253,8 @@ def _workspace(rows: int, p: int) -> tuple[np.ndarray, ...]:
     weighted y, and the float64 sum and the int64 result of a block of
     ``_ROWS`` rows, ``max(_SLAB, _PANEL)`` columns wide.  Only the limbs
     grow with the matrix, at most ``2 * _PANEL`` words a row at p < 2**31.
-    The sum's memory also holds a block of L21 balanced, the limb
-    buffer past a window's limbs its balanced x, and the sum's and the
+    The sum's memory also holds ``L11^-1`` balanced, the limb buffer
+    past a window's limbs its balanced x, and the sum's and the
     result's the int64 temporaries of the weights."""
     w = _limb_rule(p, _PANEL)[1] * _PANEL
     cols = max(_SLAB, _PANEL)
@@ -296,88 +297,65 @@ def _split(xb: np.ndarray, p: int, b: int, limbs: range,
     return xl
 
 
-def _weigh(y: np.ndarray, p: int, b: int, limbs: range, work=None) -> np.ndarray:
-    """The weighted copies ``[2**(b*i) y mod p for i in limbs]`` of the
-    residues ``y``, stacked along its rows as float64.
-
-    With ``work``, a ``_workspace``, they are a view of its weights
-    buffer and their int64 temporaries views of its sum and result,
-    which the next product with ``work`` overwrites; without it they are
-    fresh.
-    """
-    wbuf, sbuf, rbuf = work[1:] if work is not None else (None, None, None)
-    n = y.shape[-2]
-    wy = _carve(wbuf, y.shape[:-2] + (len(limbs) * n, y.shape[-1]))
-    for j, i in enumerate(limbs):
-        wj = wy[..., j * n : (j + 1) * n, :]
-        if i:
-            yi = np.left_shift(y, b * i, out=_carve(rbuf, y.shape, np.int64), dtype=np.int64)
-            wj[...] = _reduce(yi, p, None if sbuf is None else _carve(sbuf, y.shape, np.int64))
-        else:
-            wj[...] = y
+def _weigh(y: np.ndarray, p: int, b: int, limbs: int,
+           work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The weighted copies ``[2**(b*i) y mod p for i < limbs]`` of the
+    residue matrix ``y``, stacked along its rows as float64, a view of
+    the weights buffer of ``work``, a ``_workspace``; their int64
+    temporaries are views of its sum and result.  The next call
+    overwrites them."""
+    n = len(y)
+    wy = _carve(work[1], (limbs * n, y.shape[1]))
+    wy[:n] = y
+    for i in range(1, limbs):
+        yi = np.left_shift(y, b * i, out=_carve(work[3], y.shape, np.int64), dtype=np.int64)
+        wy[i * n : (i + 1) * n] = _reduce(yi, p, _carve(work[2], y.shape, np.int64))
     return wy
 
 
-def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, plus: np.ndarray | None = None,
-                  work=None) -> np.ndarray:
-    """``(plus + xl @ wy) mod p`` in one float64 product.
+def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, out: np.ndarray,
+                  work: tuple[np.ndarray, ...], plus: bool = False) -> None:
+    """Write ``xl @ wy mod p`` to ``out``, or with ``plus``
+    ``(out + xl @ wy) mod p``, one float64 product per block of
+    ``_ROWS`` rows.
 
-    ``xl`` holds limbs of some x, side by side (``_split``), and ``wy``
-    the matching weighted copies of some y (``_weigh``), so this is
-    ``(plus + sum_i limb_i @ (2**(b*i) y mod p)) mod p``, which is
-    ``(plus + x @ y) mod p`` when they are all of x's limbs.  The
-    product is exact when there are at most ``per_call`` of them
-    (``_limb_rule``).  It is rounded to int64, ``plus`` added and the
-    sum reduced once.  The temporaries are views of ``work``, a
-    ``_workspace``, and so is the result, which the next call with
-    ``work`` overwrites; then ``xl`` has at most ``_ROWS`` rows and
-    ``wy`` at most ``max(_SLAB, _PANEL)`` columns.  Without ``work``
-    they are fresh.
+    ``xl`` holds all the limbs of some x, side by side (``_split``), and
+    ``wy`` the matching weighted copies of some y (``_weigh``), so each
+    block is ``sum_i limb_i @ (2**(b*i) y mod p)``, which is ``x @ y``
+    mod p.  It is exact when there are at most ``per_call`` limbs
+    (``_limb_rule``), as at every p up to inner dimension ``_PANEL``.
+    Each block's product is rounded to int64, ``out``'s residues added
+    with ``plus`` and the sum reduced once, all in the sum and result
+    buffers of ``work``, a ``_workspace``; ``wy`` has at most
+    ``max(_SLAB, _PANEL)`` columns.  ``out`` has ``xl``'s rows: a view
+    of the matrix, or the caller's gathered copy of its rows.
     """
-    sbuf, rbuf = work[2:] if work is not None else (None, None)
-    # with work the operands are 2-D: the product has xl's rows and wy's columns
-    part = np.matmul(xl, wy, out=None if sbuf is None else _carve(sbuf, (len(xl), wy.shape[1])))
-    acc = _carve(rbuf, part.shape, np.int64)
-    acc[...] = part
-    if plus is not None:
-        acc += plus
-    return _reduce(acc, p, part.view(np.int64))
+    for r in range(0, len(xl), _ROWS):
+        x = xl[r : r + _ROWS]
+        part = np.matmul(x, wy, out=_carve(work[2], (len(x), wy.shape[1])))
+        acc = _carve(work[3], part.shape, np.int64)
+        acc[...] = part
+        if plus:
+            acc += out[r : r + _ROWS]
+        out[r : r + _ROWS] = _reduce(acc, p, part.view(np.int64))
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None, weigh_y=None) -> np.ndarray:
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
     """Exact ``(plus + x @ y) mod p`` of residue matrices, as int64.
 
     ``x`` and ``y`` may carry leading batch axes, broadcast as by
     ``np.matmul``: every matrix of the stack is then one such exact
     product.  ``plus``, if given, holds residues of the result's shape.
-    x is balanced and split into limbs (``_limb_rule``), and the limb
-    weights go on y when it has fewer entries than the result, so is
-    the smaller, and on the result otherwise; ``weigh_y`` forces the
-    choice.
-
-    - on y: the limbs go side by side, ``per_call`` to a float64
-      product against ``[y; 2**b y; ...]`` (``_weigh``,
-      ``_limb_product``), each product reduced with the ones before as
-      its ``plus``; up to inner dimension 64 at every p that is one
-      product;
-    - on the result: one product per limb against y, by Horner's rule
-      from the top limb down in int64, ``acc * 2**b + part`` below
-      ``2**(bitlen(p - 1) + b) + 2**53 <= 2**54``, reduced once per
-      limb, with ``plus`` added before the last reduction.
-
-    The result is the caller's own.  Raises ValueError when limbs would
-    be under 2 bits wide.
+    x is balanced and split into limbs (``_limb_rule``), each limb takes
+    one float64 product against y, and Horner's rule weighs the results
+    from the top limb down in int64: ``acc * 2**b + part`` stays below
+    ``2**(bitlen(p - 1) + b) + 2**53 <= 2**54`` and is reduced once per
+    limb, with ``plus`` added before the last reduction.  The result is
+    the caller's own.  Raises ValueError when limbs would be under 2
+    bits wide.
     """
-    b, limbs, per_call = _limb_rule(p, x.shape[-1])
-    if weigh_y is None:
-        batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-        weigh_y = y.size < prod(batch) * x.shape[-2] * y.shape[-1]
+    b, limbs, _ = _limb_rule(p, x.shape[-1])
     xb = _balance(x, p)
-    if weigh_y:
-        for lo in range(0, limbs, per_call):
-            group = range(lo, min(lo + per_call, limbs))
-            plus = _limb_product(_split(xb, p, b, group), _weigh(y, p, b, group), p, plus)
-        return plus
     yf = y.astype(np.float64)
     acc = None
     for i in range(limbs - 1, -1, -1):
@@ -479,39 +457,34 @@ def _update(a: np.ndarray, p: int, piv: list[int], c1: int, c2: int,
     the pivots) and L21 the multipliers below it.  Slab by slab, the
     pivot rows become ``U12 = L11^-1 A12`` and the rows below
     ``A22 - L21 U12``, which is ``A22 + (-L21) U12``.  ``L11^-1`` and
-    L21 are split into limbs once, side by side in ``work``'s limb
-    buffer, L21 a block of ``_ROWS`` rows at a time, and L21's limbs
-    are negated, which gives those of -L21.  Each slab weighs A12 and
-    then U12 once, and takes one ``_limb_product`` for the pivot rows
-    and one for each block of ``_ROWS`` rows below.  ``work`` is a
-    ``_workspace`` for the rows of ``a``, so the products allocate
-    nothing; only the rows below, gathered by index once a slab when
-    some hold no multiplier, are copied.
+    L21 are balanced and split into limbs once, side by side in
+    ``work``'s limb buffer, and L21's limbs are negated, which gives
+    those of -L21.  Each slab weighs A12 and then U12 once and takes one
+    ``_limb_product`` for the pivot rows and one for the rows below.
+    ``work`` is a ``_workspace`` for the rows of ``a``, so the products
+    allocate nothing; only L21, gathered and balanced, and once a slab
+    the rows below when some hold no multiplier, gathered by index, are
+    copied.
     """
     k = len(piv)
     b, limbs, _ = _limb_rule(p, k)
-    group, w = range(limbs), limbs * k
+    group = range(limbs)
     linv = _split(_balance(_lower_inverse(a[:k, piv], p), p, work[2]), p, b, group, work[0])
-    l21 = a[k:, piv]
+    l21 = _balance(a[k:, piv], p)
     hit = np.flatnonzero(l21.any(axis=1))
     below, gather = slice(k, None), hit.size < len(l21)
     if gather:
         # rows without a multiplier keep their entries
         l21, below = l21[hit], k + hit
-    limb = work[0][linv.size :]
-    for r in range(0, len(l21), _ROWS):
-        _split(_balance(l21[r : r + _ROWS], p, work[2]), p, b, group, limb[r * w :])
-    l21 = _carve(limb, (len(l21), w))
+    l21 = _split(l21, p, b, group, work[0][linv.size :])
     np.negative(l21, out=l21)
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
-        a[:k, s] = _limb_product(linv, _weigh(a[:k, s], p, b, group, work), p, work=work)
-        wy = _weigh(a[:k, s], p, b, group, work)
+        _limb_product(linv, _weigh(a[:k, s], p, b, limbs, work), p, a[:k, s], work)
+        wy = _weigh(a[:k, s], p, b, limbs, work)
         # a view of the rows below, or their gathered copy
         x = a[below, s]
-        for r in range(0, len(x), _ROWS):
-            rs = slice(r, r + _ROWS)
-            x[rs] = _limb_product(l21[rs], wy, p, plus=x[rs], work=work)
+        _limb_product(l21, wy, p, x, work, plus=True)
         if gather:
             a[below, s] = x
 
@@ -531,30 +504,26 @@ def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
     the window holds ``f U11`` in the k pivot columns, f its multipliers
     and U11 the pivot rows' unit upper triangle there, so two products
     give it ``f = x U11^-1`` and then the rest of the panel,
-    ``x' + f (-U12)``.  Each weighs its right operand once, splits the
-    limbs of all the rows below into ``work``'s limb buffer, and takes
-    one ``_limb_product`` for each block of ``_ROWS`` of them, on
-    ``work``, the elimination's ``_workspace``; with no rows below,
-    there is nothing to multiply.  Returns the pivot columns, ``s0`` onward; the caller
-    factors the rest of the sub-panel on all rows.
+    ``x' + f (-U12)``.  Each weighs its right operand, splits the limbs
+    of all the rows below into ``work``'s limb buffer and writes its
+    ``_limb_product`` to them; ``work`` is the elimination's
+    ``_workspace``.  With no rows below, there is nothing to multiply.
+    Returns the pivot columns, ``s0`` onward; the caller factors the
+    rest of the sub-panel on all rows.
     """
     k = len(_pivot_loop(a[:_PANEL], p, s0, s1, c1, stop=True))
     below, t = a[_PANEL:], s0 + k
     if k and len(below):
         b, limbs, _ = _limb_rule(p, k)
-        group = range(limbs)
         # the balanced residues go in the limb buffer past the limbs
         xb = work[0][len(below) * limbs * k :]
         for y, cols, plus in ((_unit_upper_inverse(a[:k, s0:t], p), slice(s0, t), False),
                               (-a[:k, t:c1] % p, slice(t, c1), True)):
             if not y.size:
                 break
-            wy = _weigh(y, p, b, group, work)
-            xl = _split(_balance(below[:, s0:t], p, xb), p, b, group, work[0])
-            for r in range(0, len(below), _ROWS):
-                x = below[r : r + _ROWS]
-                x[:, cols] = _limb_product(xl[r : r + _ROWS], wy, p,
-                                           plus=x[:, cols] if plus else None, work=work)
+            wy = _weigh(y, p, b, limbs, work)
+            xl = _split(_balance(below[:, s0:t], p, xb), p, b, range(limbs), work[0])
+            _limb_product(xl, wy, p, below[:, cols], work, plus)
     return list(range(s0, t))
 
 
@@ -661,7 +630,8 @@ def _ranks(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def ff_rank(mat, p: int) -> int:
-    """Rank over F_p."""
+    """Rank over F_p, p a prime below 2**31 (``check_prime``)."""
+    p = check_prime(p)
     return len(_eliminate(_as_matrix(mat, p), p))
 
 
@@ -674,8 +644,10 @@ def ff_kernel(mat, p: int) -> np.ndarray:
     is in reduced echelon shape itself: the kernel vectors whose free
     coordinates are the identity, solved for on the factored form.  The
     basis is returned as int64, not int32, so that a caller's
-    combination ``(c * v + d * w) % p`` of its rows cannot wrap.
+    combination ``(c * v + d * w) % p`` of its rows cannot wrap.  p
+    must pass ``check_prime``.
     """
+    p = check_prime(p)
     a = _as_matrix(mat, p)
     pivots = _eliminate(a, p)
     xf = np.eye(a.shape[1] - len(pivots), dtype=np.int32)

@@ -375,6 +375,8 @@ def test_m_range_accepts_what_int_accepts(text, rows, capsys):
         (["sweep", "-m", "4", "--primes", "65521,65521"], "--primes"),
         (["sweep", "-m", "4..5", "--csv", "no-such-directory/t.csv"], "--csv"),
         (["sweep", "-m", "4..5", "--csv", "."], "--csv"),
+        # SplitMix64 would take it mod 2**64, as seed 0
+        (["probe", "--binary", "5", "-k", "3", "--seed", str(1 << 64)], "--seed"),
     ],
 )
 def test_out_of_range_values_exit_2_before_any_work(argv, option, tmp_path, capsys):

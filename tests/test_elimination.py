@@ -17,11 +17,13 @@ pivot loop or takes the last rows; the pivot loop factors views of
 the matrix, never a copy.  The window's and the trailing update's
 products, taken ``_ROWS`` rows at a time, must leave the oracle's
 factored matrix with the rows below at the edges of those blocks, the
-update's gathered or not.  ``_matmul_mod`` must be exact with
-its limb weights on either operand, with all the limbs side by side in
-one product where the limb rule allows it and at the balanced extremes
-(p - 1) / 2 and (p + 1) / 2, whose limbs reach 2**b - 1 and -2**b; an
-elimination's product must be one ``np.matmul`` call at every p; and an
+update's gathered or not.  ``_matmul_mod``, one product per limb
+weighed by Horner's rule, must be exact at every limb-count boundary
+and at the balanced extremes (p - 1) / 2 and (p + 1) / 2, whose limbs
+reach 2**b - 1 and -2**b.  Side-by-side limbs serve only the
+elimination, where n <= 64: there ``_limb_product`` must write the
+exact product at those extremes, with and without the destination's
+residues added, in one ``np.matmul`` call a block at every p; and an
 elimination's workspace must neither leak into a product a caller keeps
 nor be handed back to the system between products.  ``_reduce`` must
 agree with Python's ``%`` on int64 values of either sign.
@@ -196,17 +198,14 @@ def test_limb_product_exact_at_limb_count_boundaries(n, p):
     # and 16 limbs at p = 2**31 - 1, and n = 8192 is the largest taking 1
     # at P20, where 2**20 and 2**20 + 1 (refused near 2**31) take 2;
     # entries within p / 2**15 of p fill every limb, and odd entries make
-    # odd products, so a sum past 2**53 would round; the limb weights go
-    # on y and on the result
+    # odd products, so a sum past 2**53 would round
     rng = np.random.default_rng([19, n])
     near = (p + 1) >> 15
     x = np.full((2, n), p - 1, dtype=np.int64)
     x[1] = rng.integers(p - near, p, n)
     y = np.full((n, 2), p - 1, dtype=np.int64)
     y[:, 1] = rng.integers(p - near, p, n)
-    want = matmul_mod(x, y, p).tolist()
-    for weigh_y in (True, False):
-        assert exactlin._matmul_mod(x, y, p, weigh_y=weigh_y).tolist() == want
+    assert exactlin._matmul_mod(x, y, p).tolist() == matmul_mod(x, y, p).tolist()
 
 
 @pytest.mark.parametrize(
@@ -215,8 +214,7 @@ def test_limb_product_exact_at_limb_count_boundaries(n, p):
 def test_stacked_limb_product_exact_at_limb_count_boundaries(n, p):
     # stacks of two rows and two columns within p / 2**15 of p, and a
     # stack of one broadcast against the other operand's two: each member
-    # takes the limbs of the inner dimension n alone, exact with the limb
-    # weights on y and on the result
+    # takes the limbs of the inner dimension n alone
     rng = np.random.default_rng([23, n])
     near = (p + 1) >> 15
     x = rng.integers(p - near, p, (2, 1, n))
@@ -224,9 +222,8 @@ def test_stacked_limb_product_exact_at_limb_count_boundaries(n, p):
     want = {(i, j): matmul_mod(x[i], y[j], p).tolist() for i, j in [(0, 0), (0, 1), (1, 1)]}
     for xs, ys, pairs in [(x, y, [(0, 0), (1, 1)]), (x[:1], y, [(0, 0), (0, 1)]),
                           (x, y[1:], [(0, 1), (1, 1)])]:
-        for weigh_y in (True, False):
-            got = exactlin._matmul_mod(xs, ys, p, weigh_y=weigh_y)
-            assert got.shape == (2, 1, 1) and got.tolist() == [want[ij] for ij in pairs]
+        got = exactlin._matmul_mod(xs, ys, p)
+        assert got.shape == (2, 1, 1) and got.tolist() == [want[ij] for ij in pairs]
 
 
 def assert_cup_matches_oracle(m, p):
@@ -290,14 +287,15 @@ def windows(monkeypatch):
     # (rows of the view, first column, pivots found, block products taken)
     # of each window factored; factor_with_windows turns the view's rows
     # into its first row.  Every test here leaves fewer than _ROWS rows
-    # below a window, so each of its two products is one block.
+    # below a window, so each of its two products is one block, one
+    # np.matmul call.
     calls = []
-    window, limb_product = exactlin._window, exactlin._limb_product
+    window, matmul = exactlin._window, np.matmul
     products = []
 
     def count(*args, **kwargs):
         products.append(1)
-        return limb_product(*args, **kwargs)
+        return matmul(*args, **kwargs)
 
     def spy(a, p, s0, *args):
         products.clear()
@@ -306,7 +304,7 @@ def windows(monkeypatch):
         return piv
 
     monkeypatch.setattr(exactlin, "_window", spy)
-    monkeypatch.setattr(exactlin, "_limb_product", count)
+    monkeypatch.setattr(np, "matmul", count)
     return calls
 
 
@@ -386,14 +384,15 @@ def test_row_blocks_match_oracle(monkeypatch, unhit, below, p):
     rows = NB + below + unhit
     m = rng.integers(0, p, (rows, 3 * NB + 5))
     m[rows - 1 - 7 * np.arange(unhit), :NB] = 0
-    # rows of each block product taken in the first window and the first update
+    # rows of each block product, one np.matmul call, taken in the first
+    # window and the first update
     seen = {}
     current = []
-    limb_product = exactlin._limb_product
+    matmul = np.matmul
 
-    def count(xl, *args, **kwargs):
-        current.append(len(xl))
-        return limb_product(xl, *args, **kwargs)
+    def count(x, *args, **kwargs):
+        current.append(len(x))
+        return matmul(x, *args, **kwargs)
 
     def spy(name):
         step = getattr(exactlin, name)
@@ -406,7 +405,7 @@ def test_row_blocks_match_oracle(monkeypatch, unhit, below, p):
 
         monkeypatch.setattr(exactlin, name, call)
 
-    monkeypatch.setattr(exactlin, "_limb_product", count)
+    monkeypatch.setattr(np, "matmul", count)
     spy("_window")
     spy("_update")
     want, pivots = cup(m, p)
@@ -445,8 +444,7 @@ def test_blocked_elimination_factors_views_of_the_matrix(monkeypatch):
 def test_limb_product_with_plus_exact(n, p):
     # entries p - 1 and odd entries fill every limb; plus rows of p - 1,
     # 0 and random residues reach both ends of the last reduction, and
-    # row 0, every entry and plus p - 1, reaches the largest value.  Both
-    # placements of the limb weights are forced, on y and on the result.
+    # row 0, every entry and plus p - 1, reaches the largest value
     rng = np.random.default_rng([29, n, p])
     odd = max(1, (p + 1) >> 16)
     x = np.full((3, n), p - 1, dtype=np.int64)
@@ -460,20 +458,19 @@ def test_limb_product_with_plus_exact(n, p):
     plus[1] = 0
     prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
     want = [[(int(pv) + v) % p for pv, v in zip(prow, row)] for prow, row in zip(plus, prod)]
-    for weigh_y in (True, False):
-        got = exactlin._matmul_mod(x, y, p, plus=plus, weigh_y=weigh_y)
-        assert got.dtype == np.int64 and got.tolist() == want
-        # without a workspace the result is the caller's own: the next
-        # product leaves it intact, as tangency._hessians needs
-        exactlin._matmul_mod(x[:, :1], y[:1], p, plus=plus, weigh_y=weigh_y)
-        assert got.tolist() == want
+    got = exactlin._matmul_mod(x, y, p, plus=plus)
+    assert got.dtype == np.int64 and got.tolist() == want
+    # the result is the caller's own: the next product leaves it intact,
+    # as tangency._hessians needs
+    exactlin._matmul_mod(x[:, :1], y[:1], p, plus=plus)
+    assert got.tolist() == want
 
 
-# Per prime, the largest inner dimension whose limbs one product holds,
-# or one limb, and one more: at P31 two limbs of 15 bits in one product
-# up to 64, two products from 65; at P20 one limb of 19 bits up to
-# 16384, two of 10 bits from 16385, still in one product (up to 2**22);
-# at 3 one limb of 1 bit, in one product up to the refusal at 2**49.
+# Per prime, the largest inner dimension whose limbs one side-by-side
+# product would hold, or one limb, and one more: at P31 two limbs of 15
+# bits up to 64, with per_call 1 from 65; at P20 one limb of 19 bits up
+# to 16384, two of 10 bits from 16385, per_call 256; at 3 one limb of 1
+# bit up to the refusal at 2**49.
 ONE_PRODUCT = {(P31, 64): (15, 2, 2), (P31, 65): (15, 2, 1), (P20, 16384): (19, 1, 1),
                (P20, 16385): (10, 2, 256), (3, 64): (1, 1, 1 << 44), (3, 65): (1, 1, 1 << 43)}
 
@@ -482,9 +479,8 @@ ONE_PRODUCT = {(P31, 64): (15, 2, 2), (P31, 65): (15, 2, 1), (P20, 16384): (19, 
 def test_limb_product_holds_the_balanced_extremes(p, n):
     # x holds the balanced extremes (p - 1) / 2 and (p + 1) / 2, whose
     # limbs reach 2**b - 1 and -2**b, and y holds p - 1, so a sum comes
-    # within 2**39 of 2**53 at (P31, 64); all limbs side by side in one
-    # product where the rule allows it, and through _matmul_mod, whose
-    # products the rule groups, with and without plus, and on stacks
+    # within 2**39 of 2**53 at (P31, 64); through _matmul_mod, with and
+    # without plus, and on stacks
     b, limbs, per_call = exactlin._limb_rule(p, n)
     assert (b, limbs, per_call) == ONE_PRODUCT[p, n]
     rng = np.random.default_rng([43, n, p])
@@ -497,21 +493,16 @@ def test_limb_product_holds_the_balanced_extremes(p, n):
     plus = rng.integers(0, p, (len(x), 3))
     plus[0] = p - 1
     prod = matmul_mod(x, y, p)
-    group = range(limbs)
     for pl in (None, plus):
         want = prod if pl is None else (prod + pl) % p
-        if limbs <= per_call:
-            xl = exactlin._split(exactlin._balance(x, p), p, b, group)
-            wy = exactlin._weigh(y, p, b, group)
-            assert exactlin._limb_product(xl, wy, p, pl).tolist() == want.tolist()
-        assert exactlin._matmul_mod(x, y, p, plus=pl, weigh_y=True).tolist() == want.tolist()
+        assert exactlin._matmul_mod(x, y, p, plus=pl).tolist() == want.tolist()
         # a stack of two x's against one y, and one x against two y's
         xs, ys = np.stack([x, x[::-1]]), np.stack([y, y[:, ::-1]])
         pls = None if pl is None else np.stack([pl, pl])
-        got = exactlin._matmul_mod(xs, y, p, plus=pls, weigh_y=True)
+        got = exactlin._matmul_mod(xs, y, p, plus=pls)
         assert got.tolist() == [want.tolist(), matmul_mod(x[::-1], y, p).tolist()
                                 if pl is None else ((matmul_mod(x[::-1], y, p) + pl) % p).tolist()]
-        got = exactlin._matmul_mod(x, ys, p, plus=pls, weigh_y=True)
+        got = exactlin._matmul_mod(x, ys, p, plus=pls)
         assert got[0].tolist() == want.tolist()
         assert got[1].tolist() == (want[:, ::-1] if pl is None
                                    else (prod[:, ::-1] + pl) % p).tolist()
@@ -520,7 +511,8 @@ def test_limb_product_holds_the_balanced_extremes(p, n):
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))
 def test_limb_rule_takes_one_product_up_to_a_panel(p):
     # _update and _window split all the limbs of an inner dimension up to
-    # _PANEL side by side and take them in one _limb_product
+    # _PANEL side by side and take them in one product a block: limbs <=
+    # per_call is the precondition of _limb_product
     b, limbs, per_call = exactlin._limb_rule(p, NB)
     assert limbs <= per_call
     assert all(exactlin._limb_rule(p, n)[1] <= limbs for n in range(1, NB))
@@ -528,9 +520,11 @@ def test_limb_rule_takes_one_product_up_to_a_panel(p):
 
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))
 def test_elimination_product_takes_one_matmul(monkeypatch, p):
-    # on the workspace every product of inner dimension up to 64 is one
-    # np.matmul call, at n = 64 and at a sub-panel's 16, the balanced
-    # extremes in x and p - 1 in y and in plus, on a block of _ROWS rows
+    # on the workspace a product of inner dimension 1, a sub-panel's 16
+    # or a panel's 64 is one np.matmul call on a block of _ROWS rows, the
+    # balanced extremes (p - 1) / 2 and (p + 1) / 2 in x, p - 1 in y, and
+    # with plus p - 1 in the destination; it is written to the
+    # destination, a view of a wider matrix, and nothing else
     calls = []
     matmul = np.matmul
 
@@ -542,19 +536,20 @@ def test_elimination_product_takes_one_matmul(monkeypatch, p):
     rng = np.random.default_rng([53, p])
     rows = exactlin._ROWS
     work = exactlin._workspace(rows, p)
-    for n, cols in ((NB, exactlin._SLAB), (SUB, NB)):
+    for n, cols in ((1, NB), (SUB, NB), (NB, exactlin._SLAB)):
         b, limbs, _ = exactlin._limb_rule(p, n)
-        group = range(limbs)
         x = rng.choice([0, (p - 1) // 2, (p + 1) // 2, p - 1], (rows, n)).astype(np.int32)
+        x[:2] = [[(p - 1) // 2], [(p + 1) // 2]]
         y = np.full((n, cols), p - 1, dtype=np.int32)
-        plus = np.full((rows, cols), p - 1, dtype=np.int32)
-        want = (matmul_mod(x, y, p) + plus) % p
-        xl = exactlin._split(exactlin._balance(x, p, work[2]), p, b, group, work[0])
-        wy = exactlin._weigh(y, p, b, group, work)
-        calls.clear()
-        got = exactlin._limb_product(xl, wy, p, plus=plus, work=work)
-        assert len(calls) == 1 and got.tolist() == want.tolist()
-        assert np.shares_memory(got, work[3])
+        xl = exactlin._split(exactlin._balance(x, p, work[2]), p, b, range(limbs), work[0])
+        wy = exactlin._weigh(y, p, b, limbs, work)
+        for plus in (False, True):
+            mat = np.full((rows, cols + 2), p - 1, dtype=np.int32)
+            want = (matmul_mod(x, y, p) + plus * mat[:, 1:-1]) % p
+            calls.clear()
+            exactlin._limb_product(xl, wy, p, mat[:, 1:-1], work, plus)
+            assert len(calls) == 1 and mat[:, 1:-1].tolist() == want.tolist()
+            assert (mat[:, [0, -1]] == p - 1).all()
 
 
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))

@@ -125,6 +125,20 @@ def test_rank_and_kernel_reject_non_integer_entries():
             f([[2**70, 1], [1, 1]], 7)
 
 
+def test_rank_and_kernel_reject_bad_moduli():
+    # a modulus past 2**31 would wrap the int32 residues: this matrix has
+    # rank 1 mod the prime 2**32 + 15, but its residues wrapped to rank 2;
+    # 1 gave rank 0, and 4 a bare pow error at the pivot 2
+    q = 2**32 + 15
+    mat = [[2**31 + 5, 1], [1, pow(2**31 + 5, -1, q)]]
+    assert sympy_rank(mat, q) == 1
+    for f in (ff_rank, ff_kernel):
+        for m, p, msg in [(mat, q, "out of range"), ([[1]], 1, "out of range"),
+                          ([[2, 1], [1, 1]], 4, "is not prime")]:
+            with pytest.raises(ValueError, match=f"modulus {p} {msg}"):
+                f(m, p)
+
+
 def test_rank_identity_and_zero():
     assert ff_rank(np.eye(12, dtype=np.int64), P) == 12
     assert ff_rank(np.zeros((5, 9), dtype=np.int64), P) == 0
