@@ -101,15 +101,15 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0):
     Returns (certificates, summary dict, exit code), one certificate per
     (prime, seed) probed, each with its probe's wall time.  When a probe
     falls short of the expected dimension, the cell is also probed on
-    seeds seed..seed+2 of the given primes, or of DEFAULT_PRIMES when
-    fewer than 3 are given, so defect_status can tell a stable defect
-    from an unlucky sample.
+    seeds seed..seed+2 mod 2**64 (``SplitMix64``'s seeds) of the given
+    primes, or of DEFAULT_PRIMES when fewer than 3 are given, so
+    defect_status can tell a stable defect from an unlucky sample.
     """
     runs = {(prime, seed): probe_cell(shape, k, trials, prime, seed) for prime in primes}
     if any(res.defect > 0 for res, _ in runs.values()):
         grid_primes = primes if len(primes) >= 3 else DEFAULT_PRIMES
         for pr in grid_primes:
-            for s in (seed, seed + 1, seed + 2):
+            for s in ((seed + i) % (1 << 64) for i in range(3)):
                 if (pr, s) not in runs:
                     runs[pr, s] = probe_cell(shape, k, trials, pr, s)
 

@@ -340,19 +340,18 @@ def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, out: np.ndarray,
         out[r : r + _ROWS] = _reduce(acc, p, part.view(np.int64))
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
-    """Exact ``(plus + x @ y) mod p`` of residue matrices, as int64.
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``x @ y mod p`` of residue matrices, int32 or int64, as int64.
 
     ``x`` and ``y`` may carry leading batch axes, broadcast as by
     ``np.matmul``: every matrix of the stack is then one such exact
-    product.  ``plus``, if given, holds residues of the result's shape.
-    x is balanced and split into limbs (``_limb_rule``), each limb takes
-    one float64 product against y, and Horner's rule weighs the results
-    from the top limb down in int64: ``acc * 2**b + part`` stays below
+    product.  x is balanced in its own dtype and split into limbs
+    (``_limb_rule``), each limb takes one float64 product against y,
+    and Horner's rule weighs the results from the top limb down in
+    int64: ``acc * 2**b + part`` stays below
     ``2**(bitlen(p - 1) + b) + 2**53 <= 2**54`` and is reduced once per
-    limb, with ``plus`` added before the last reduction.  The result is
-    the caller's own.  Raises ValueError when limbs would be under 2
-    bits wide.
+    limb.  The result is the caller's own.  Raises ValueError when limbs
+    would be under 2 bits wide.
     """
     b, limbs, _ = _limb_rule(p, x.shape[-1])
     xb = _balance(x, p)
@@ -366,8 +365,6 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, plus=None) -> np.ndarray:
             acc <<= b
             # exact, since |part| < 2**53
             np.add(acc, part, out=acc, dtype=np.int64, casting="unsafe")
-        if i == 0 and plus is not None:
-            acc += plus
         _reduce(acc, p)
     return acc
 

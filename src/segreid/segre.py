@@ -16,9 +16,9 @@ points a caller supplies.  Tangent data is the affine tangent
 frame (``_frames``): the embedded point plus the partials of that
 chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
-1 + sum(n_i) rows; the Terracini matrices stack them.  The frames, and
-the frames of factor halves that the contact Hessians of ``tangency``
-use, are built from partial products per point
+1 + sum(n_i) rows; the Terracini matrices stack them.  The contact
+Hessians of ``tangency`` take factor halves' frames with j >= 0.  All
+are int32, built from partial products per point
 (``_partial_products``), the Kronecker products of the factors before
 and after each slot.
 """
@@ -158,53 +158,39 @@ def _partial_products(qs: tuple[np.ndarray, ...], p: int) -> tuple[list, list]:
     return before, after
 
 
-def _write_frames(frames: np.ndarray, qs: tuple[np.ndarray, ...], p: int, first: int) -> None:
-    """Fill the zeroed (N, rows, S) ``frames`` of the factors ``qs``: row 0
-    is the embedding ``before[m] x q_m``, and the rows after it hold
-    ``before[i] x e_j x after[i]`` (``_partial_products``), slot by slot
-    and j from ``first`` up, as ``before[i] x after[i]`` in slot value j
-    of the row's (B_i, n_i + 1, A_i) view."""
-    before, after = _partial_products(qs, p)
-    n, _, cols = frames.shape
-    frames[:, 0] = _kron(before[-1], qs[-1], p)
-    row = 1
-    for b, a in zip(before, after):
-        wb, wa = b.shape[1], a.shape[1]
-        slots = frames.reshape(n, -1, wb, cols // (wb * wa), wa)
-        ba = _kron(b, a, p).reshape(n, wb, wa)
-        for j in range(first, slots.shape[3]):
-            slots[:, row, :, j] = ba
-            row += 1
-
-
-def _full_frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
-    """Per point, the embedding of the factors ``qs`` and then every
-    single-slot substitution, j = 0 included: (N, 1 + R, S) int64
-    residues, R the sum and S the product of the factors' sizes."""
-    sizes = [f.shape[1] for f in qs]
-    out = np.zeros((len(qs[0]), 1 + sum(sizes), math.prod(sizes)), dtype=np.int64)
-    _write_frames(out, qs, p, 0)
-    return out
-
-
 # Bytes of int64 partial products held at a time: a point's take about
-# 8 * (r + 1) entries, the Kronecker temporaries included.
+# 8 entries per frame column, the Kronecker temporaries included.
 _FRAME_CHUNK = 1 << 20
 
 
-def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
-    """Per point: the embedded point, then each substitution with j >= 1.
+def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
+    """Per point: the embedded point, then each substitution with j >= ``first``.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
-    (``coerce_points``).  Returns the (N, rows, r + 1) int32 residues
-    that ``_write_frames`` fills, a chunk of points at a time, so that
-    its int64 partial products stay within ``_FRAME_CHUNK`` bytes (one
-    point at least).
+    (``coerce_points``); Terracini frames take ``first`` = 1, the halves
+    of ``tangency._fill`` 0.  Returns (N, rows, S) int32 residues, S the
+    product of the sizes: row 0 is the embedding ``before[m] x q_m``, and
+    the rows after it hold ``before[i] x e_j x after[i]``
+    (``_partial_products``), slot by slot and j from ``first`` up, as
+    ``before[i] x after[i]`` in slot value j of the row's
+    (B_i, n_i + 1, A_i) view.  A chunk of points is built at a time, so
+    that the int64 partial products stay within ``_FRAME_CHUNK`` bytes
+    (one point at least).
     """
     n = len(qs[0])
     cols = math.prod(f.shape[1] for f in qs)
-    out = np.zeros((n, 1 + sum(f.shape[1] - 1 for f in qs), cols), dtype=np.int32)
+    out = np.zeros((n, 1 + sum(f.shape[1] - first for f in qs), cols), dtype=np.int32)
     step = max(1, _FRAME_CHUNK // (8 * cols * 8))
-    for a in range(0, n, step):
-        _write_frames(out[a : a + step], tuple(f[a : a + step] for f in qs), p, 1)
+    for c in range(0, n, step):
+        chunk, frames = tuple(f[c : c + step] for f in qs), out[c : c + step]
+        before, after = _partial_products(chunk, p)
+        frames[:, 0] = _kron(before[-1], chunk[-1], p)
+        row = 1
+        for b, a in zip(before, after):
+            wb, wa = b.shape[1], a.shape[1]
+            slots = frames.reshape(len(frames), -1, wb, cols // (wb * wa), wa)
+            ba = _kron(b, a, p).reshape(len(frames), wb, wa)
+            for j in range(first, slots.shape[3]):
+                slots[:, row, :, j] = ba
+                row += 1
     return out

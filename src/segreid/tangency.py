@@ -16,11 +16,11 @@ the product.  Its local size is what decides weak defectivity:
 * positive corank is evidence only and is never used to certify.
 
 Residuals and Jacobian entries are exact multilinear contractions of
-the hyperplane tensor, never finite differences, read off the Hessians
-of the form at all k+1 contact points of a trial.  Those are filled by
-divide and conquer over the factors, in exact products batched over
-the points (``_fill``), and one pivot pass over the stack of chart
-Jacobians ranks them all (``contact_coranks``).
+the hyperplane tensor, never finite differences.  The Hessians of the
+form at all k+1 contact points of a trial are filled by divide and
+conquer over the factors, in exact products batched over the points
+(``_fill``), whose leaves are the residuals; one pivot pass over the
+stack of chart Jacobians ranks them all (``contact_coranks``).
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from .exactlin import (
     _kernel,
     _matmul_mod,
     _ranks,
+    check_prime,
     ff_kernel,
     ff_rank,
 )
-from .segre import ProductShape, _full_frames, coerce_points
+from .segre import ProductShape, _frames, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
@@ -114,36 +115,41 @@ def tangent_hyperplanes(shape: ProductShape, points, p: int) -> np.ndarray:
     return ff_kernel(terracini_matrix(shape, points, p), p)
 
 
-def _hessians(shape: ProductShape, h, qs, p: int) -> np.ndarray:
-    """Off-diagonal Hessians of the form h(q_1, ..., q_m) at N points.
+def _hessians(shape: ProductShape, h, qs, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal Hessians and residuals of h(q_1, ..., q_m) at N points.
 
     ``qs`` holds each factor's coordinates at the points, (N, n_i + 1)
-    residues per factor.  Shape (N, R, R) with R = sum(n_i + 1), in
+    residues per factor.  Hessians (N, R, R), R = sum(n_i + 1), in
     blocks by factor: block (a, b), a != b, is h contracted with q_l in
     every slot l other than a and b, and the diagonal blocks are zero.
-    Filled by divide and conquer over the factors (``_fill``).
+    Residuals (N, R): block a is h contracted in every slot but a.  Both
+    are filled by divide and conquer over the factors (``_fill``).
     """
     t = _hyperplane_tensor(shape, h, p).reshape(1, -1)
     rows = sum(shape.coord_sizes)
     hess = np.zeros((len(qs[0]), rows, rows), dtype=np.int64)
-    _fill(hess, t, qs, p)
-    return hess
+    res = np.empty(hess.shape[:2], dtype=np.int64)
+    _fill(hess, res, t, qs, p)
+    return hess, res
 
 
-def _fill(hess: np.ndarray, t: np.ndarray, qs, p: int) -> None:
+def _fill(hess: np.ndarray, res: np.ndarray, t: np.ndarray, qs, p: int) -> None:
     """Fill ``hess``, the (N, R, R) diagonal block of the run of factors
-    ``qs``, from ``t``: h contracted with every factor outside the run,
-    (N, S) per point, or (1, S) shared.  With halves L and R, embeddings
-    E and frames F (``segre._full_frames``, E in row 0), the cross
-    blocks are ``F_L t F_R^T``, and L and R recurse on ``t E_R^T`` and
-    ``E_L t``, row 0 of ``[E_L; F_L] t``: three ``_matmul_mod`` stacks,
-    a shared ``t`` taking all points as rows of one product.  Their
-    inner dimensions are the halves' coordinate counts.
+    ``qs``, and ``res``, its (N, R) residuals, from ``t``: h contracted
+    with every factor outside the run, (N, S) per point, or (1, S)
+    shared; at a leaf, one factor, ``t`` is the residual block.  With
+    halves L and R, embeddings E and frames F (int32 ``segre._frames``,
+    j >= 0, E in row 0), the cross blocks are ``F_L t F_R^T``, and L and
+    R recurse on ``t E_R^T`` and ``E_L t``, row 0 of ``[E_L; F_L] t``:
+    three ``_matmul_mod`` stacks, a shared ``t`` taking all points as
+    rows of one product.  Their inner dimensions are the halves'
+    coordinate counts.
     """
     if len(qs) == 1:
+        res[...] = t
         return
     half = len(qs) // 2
-    left, right = _full_frames(qs[:half], p), _full_frames(qs[half:], p)
+    left, right = _frames(qs[:half], p, 0), _frames(qs[half:], p, 0)
     n, r_l, s_l = len(left), left.shape[1] - 1, left.shape[2]
     t = t.reshape(len(t), s_l, -1)
     lt = _matmul_mod(left.reshape(len(t), -1, s_l), t, p).reshape(n, r_l + 1, -1)
@@ -151,23 +157,8 @@ def _fill(hess: np.ndarray, t: np.ndarray, qs, p: int) -> None:
     cross = _matmul_mod(lt[:, 1:], right[:, 1:].transpose(0, 2, 1), p)
     hess[:, :r_l, r_l:] = cross
     hess[:, r_l:, :r_l] = cross.transpose(0, 2, 1)
-    _fill(hess[:, :r_l, :r_l], t_l.reshape(n, s_l), qs[:half], p)
-    _fill(hess[:, r_l:, r_l:], lt[:, 0], qs[half:], p)
-
-
-def _residuals(hess: np.ndarray, qs, p: int) -> np.ndarray:
-    """Residuals at N points, (N, R): each factor's Hessian rows against
-    the next factor's columns, contracted with that factor's point (the
-    form is linear in it).  Slice by slice, partial sums stay below p**2.
-    """
-    at = np.cumsum([0] + [q.shape[1] for q in qs])
-    res = np.zeros(hess.shape[:2], dtype=np.int64)
-    for a in range(len(qs)):
-        b = (a + 1) % len(qs)
-        rows = res[:, at[a] : at[a + 1]]
-        for c in range(qs[b].shape[1]):
-            rows[...] = (rows + hess[:, at[a] : at[a + 1], at[b] + c] * qs[b][:, c, None]) % p
-    return res
+    _fill(hess[:, :r_l, :r_l], res[:, :r_l], t_l.reshape(n, s_l), qs[:half], p)
+    _fill(hess[:, r_l:, r_l:], res[:, r_l:], lt[:, 0], qs[half:], p)
 
 
 def _chart_columns(shape: ProductShape) -> np.ndarray:
@@ -184,8 +175,7 @@ def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
     embedded product at the point.  Contracting the factor-i block with
     q_i rebuilds h . s(q), so h(q) = 0 is implied m times over.
     """
-    qs = coerce_points(shape, [point], p)
-    return _residuals(_hessians(shape, h, qs, p), qs, p)[0]
+    return _hessians(shape, h, coerce_points(shape, [point], p), p)[1][0]
 
 
 def contact_jacobian(shape: ProductShape, h, point, p: int) -> np.ndarray:
@@ -199,19 +189,20 @@ def contact_jacobian(shape: ProductShape, h, point, p: int) -> np.ndarray:
     (sum(n_i + 1), sum(n_i)).
     """
     qs = coerce_points(shape, [point], p)
-    return _hessians(shape, h, qs, p)[0][:, _chart_columns(shape)]
+    return _hessians(shape, h, qs, p)[0][0][:, _chart_columns(shape)]
 
 
 def contact_coranks(shape: ProductShape, h, points, p: int) -> tuple[int, ...]:
     """Contact coranks at every point, from whole-stack passes.
 
-    The Hessians of all points are filled together (``_hessians``);
-    each point's residuals and chart Jacobian are read off its Hessian,
-    and one pivot pass over the stack ranks every Jacobian
-    (``exactlin._ranks``).  Raises ValueError naming the first point
-    outside the chart (``coerce_points``), or else the first point whose
-    residuals do not vanish.
+    The Hessians and residuals of all points are filled together
+    (``_hessians``), and one pivot pass over the stack ranks every chart
+    Jacobian (``exactlin._ranks``), exact for a prime p < 2**31.  Raises
+    ValueError for any other p (``check_prime``); else naming the first
+    point outside the chart (``coerce_points``), or else the first point
+    whose residuals do not vanish.
     """
+    p = check_prime(p)
     return _contact_coranks(shape, h, coerce_points(shape, points, p), p)
 
 
@@ -219,8 +210,8 @@ def _contact_coranks(shape: ProductShape, h, qs, p: int) -> tuple[int, ...]:
     """``contact_coranks`` at points already stacked per factor and in the chart."""
     if not len(qs[0]):
         return ()
-    hess = _hessians(shape, h, qs, p)
-    bad = np.flatnonzero(_residuals(hess, qs, p).any(axis=1))
+    hess, res = _hessians(shape, h, qs, p)
+    bad = np.flatnonzero(res.any(axis=1))
     if bad.size:
         raise ValueError(
             f"hyperplane is not tangent at point {bad[0]}: residuals do not vanish"

@@ -44,7 +44,7 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    return _frames(coerce_points(shape, points, p), p).reshape(-1, shape.ambient_dim + 1)
+    return _frames(coerce_points(shape, points, p), p, 1).reshape(-1, shape.ambient_dim + 1)
 
 
 def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):

@@ -88,6 +88,17 @@ def test_probe_defect_escalates_and_exits_1(capsys):
     assert summary["defect_status"] == "defective (computational evidence)"
 
 
+def test_widened_seeds_stay_below_2_64():
+    # SplitMix64 takes a seed mod 2**64, so seeds 2**64 and 2**64 + 1
+    # would replay seeds 0 and 1 while the certificates claimed others
+    certs, summary, code = cli.run_probe(ProductShape.binary(4), 2, primes=(65521,), seed=2**64 - 1)
+    seeds = {cert.seed for cert in certs}
+    assert all(s < 2**64 for s in seeds)
+    assert seeds == {2**64 - 1, 0, 1}
+    assert code == 1
+    assert summary["defect_status"] == "defective (computational evidence)"
+
+
 def test_probe_general_shape(capsys):
     code, lines = run(
         capsys, "probe", "--shape", "1,2", "-k", "1", "--primes", P1

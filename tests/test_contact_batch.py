@@ -38,11 +38,10 @@ def same_terracini(s, pts, p):
 def batch(s, h, pts, p, chart):
     """Residuals, and Jacobians in the chart freezing slot chart[i] of
     factor i, of every point from one pass."""
-    qs = coerce_points(s, pts, p)
-    hess = tangency._hessians(s, h, qs, p)
+    hess, res = tangency._hessians(s, h, coerce_points(s, pts, p), p)
     at = np.cumsum((0,) + s.coord_sizes)
     cols = np.delete(np.arange(at[-1]), at[:-1] + np.array(chart))
-    return tangency._residuals(hess, qs, p), hess[:, :, cols]
+    return res, hess[:, :, cols]
 
 
 def contact_case(dims, p, seed=0):
@@ -124,12 +123,19 @@ def test_largest_entries_match_oracle(dims):
 @pytest.mark.parametrize("dims", [(1,) * 6, (1,) * 8, (1, 2, 3), (2, 3, 3)], ids=str)
 @pytest.mark.parametrize("per_chunk", [1, 3])
 def test_frames_across_chunks_match_oracle(monkeypatch, per_chunk, dims, p):
-    # seven points: chunks of one point, or of three with a last of one
+    # seven points: chunks of one point, or of three with a last of one;
+    # first = 1 gives the Terracini frames, first = 0 every slot value,
+    # the embedding followed by the oracle's whole tangent frame
     s = ProductShape(dims)
     rng = SplitMix64(11)
     pts = [random_point(s, rng, p) for _ in range(7)]
     monkeypatch.setattr(segre, "_FRAME_CHUNK", per_chunk * 8 * 8 * (s.ambient_dim + 1))
     assert same_terracini(s, pts, p)
+    got = segre._frames(coerce_points(s, pts, p), p, 0)
+    assert got.dtype == np.int32
+    for frame, q in zip(got, pts):
+        want = np.vstack([segre.segre_embed(s, q, p), oracle.tangent_frame(s, q, p)])
+        assert frame.shape == want.shape and frame.tolist() == want.tolist()
 
 
 def test_frames_stay_within_one_chunk_above_their_result():
@@ -143,7 +149,7 @@ def test_frames_stay_within_one_chunk_above_their_result():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = segre._frames(qs, p)
+        out = segre._frames(qs, p, 1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

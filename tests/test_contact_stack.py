@@ -13,7 +13,7 @@ import pytest
 
 import contact_oracle as oracle
 from echelon_oracle import _echelon, matmul_mod
-from segreid import tangency
+from segreid import segre, tangency
 from segreid.exactlin import SplitMix64, _ranks, ff_kernel, ff_rank
 from segreid.segre import ProductShape, _random_points, coerce_points, random_point
 from segreid.tangency import contact_coranks
@@ -38,20 +38,26 @@ def oracle_hessian(s, h, q, p):
 
 
 def assert_hessians_match(s, h, pts, p):
-    got = tangency._hessians(s, h, coerce_points(s, pts, p), p)
-    assert got.dtype == np.int64 and got.shape[0] == len(pts)
-    for hq, q in zip(got, pts):
+    hess, res = tangency._hessians(s, h, coerce_points(s, pts, p), p)
+    assert hess.dtype == res.dtype == np.int64 and len(hess) == len(res) == len(pts)
+    for hq, rq, q in zip(hess, res, pts):
         want = oracle_hessian(s, h, q, p)
         assert hq.shape == want.shape and hq.tobytes() == want.tobytes()
+        want = oracle.tangency_residuals(s, h, q, p)
+        assert rq.shape == want.shape and rq.tobytes() == want.tobytes()
 
 
 HESSIAN_SHAPES = [(1,) * m for m in range(2, 12)] + [(1, 2, 3), (2, 3, 3), (3, 1, 1, 1, 2)]
 
 
-@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("count, chunked", [(1, False), (4, False), (4, True)],
+                         ids=["1", "4", "4-chunked"])
 @pytest.mark.parametrize("dims", HESSIAN_SHAPES, ids=str)
-def test_hessians_match_oracle(dims, count):
-    # h need not be tangent: the Hessian is defined for every form
+def test_hessians_match_oracle(monkeypatch, dims, count, chunked):
+    # h need not be tangent: the Hessian and residuals are defined for
+    # every form; chunked builds each half's frames one point at a time
+    if chunked:
+        monkeypatch.setattr(segre, "_FRAME_CHUNK", 1)
     s = ProductShape(dims)
     for p in PRIMES if s.ambient_dim < 1000 else PRIMES[-1:]:
         rng = SplitMix64(sum(dims) + count)

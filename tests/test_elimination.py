@@ -442,9 +442,8 @@ def test_blocked_elimination_factors_views_of_the_matrix(monkeypatch):
     + [(n, P20) for n in (1, 8192, 8193, 1 << 20)],
 )
 def test_limb_product_with_plus_exact(n, p):
-    # entries p - 1 and odd entries fill every limb; plus rows of p - 1,
-    # 0 and random residues reach both ends of the last reduction, and
-    # row 0, every entry and plus p - 1, reaches the largest value
+    # entries p - 1 and odd entries fill every limb, and row 0 against
+    # column 0, every entry p - 1, reaches the largest sum
     rng = np.random.default_rng([29, n, p])
     odd = max(1, (p + 1) >> 16)
     x = np.full((3, n), p - 1, dtype=np.int64)
@@ -453,16 +452,12 @@ def test_limb_product_with_plus_exact(n, p):
     y = np.full((n, 3), p - 1, dtype=np.int64)
     y[:, 1] = p - 2 - 2 * rng.integers(0, odd, n)
     y[:, 2] = rng.integers(0, p, n)
-    plus = rng.integers(0, p, (3, 3))
-    plus[0] = p - 1
-    plus[1] = 0
-    prod = [[sum(map(operator.mul, row, col)) for col in y.T.tolist()] for row in x.tolist()]
-    want = [[(int(pv) + v) % p for pv, v in zip(prow, row)] for prow, row in zip(plus, prod)]
-    got = exactlin._matmul_mod(x, y, p, plus=plus)
+    want = [[sum(map(operator.mul, row, col)) % p for col in y.T.tolist()] for row in x.tolist()]
+    got = exactlin._matmul_mod(x, y, p)
     assert got.dtype == np.int64 and got.tolist() == want
     # the result is the caller's own: the next product leaves it intact,
     # as tangency._hessians needs
-    exactlin._matmul_mod(x[:, :1], y[:1], p, plus=plus)
+    exactlin._matmul_mod(x[:, :1], y[:1], p)
     assert got.tolist() == want
 
 
@@ -479,8 +474,9 @@ ONE_PRODUCT = {(P31, 64): (15, 2, 2), (P31, 65): (15, 2, 1), (P20, 16384): (19, 
 def test_limb_product_holds_the_balanced_extremes(p, n):
     # x holds the balanced extremes (p - 1) / 2 and (p + 1) / 2, whose
     # limbs reach 2**b - 1 and -2**b, and y holds p - 1, so a sum comes
-    # within 2**39 of 2**53 at (P31, 64); through _matmul_mod, with and
-    # without plus, and on stacks
+    # within 2**39 of 2**53 at (P31, 64); through _matmul_mod, on stacks,
+    # and in int64 and int32, as the back-substitution and the contact
+    # Hessians pass their residues
     b, limbs, per_call = exactlin._limb_rule(p, n)
     assert (b, limbs, per_call) == ONE_PRODUCT[p, n]
     rng = np.random.default_rng([43, n, p])
@@ -490,22 +486,15 @@ def test_limb_product_holds_the_balanced_extremes(p, n):
     y = np.full((n, 3), p - 1, dtype=np.int64)
     y[:, 1] = rng.integers(0, p, n)
     y[::3, 2] = 0
-    plus = rng.integers(0, p, (len(x), 3))
-    plus[0] = p - 1
-    prod = matmul_mod(x, y, p)
-    for pl in (None, plus):
-        want = prod if pl is None else (prod + pl) % p
-        assert exactlin._matmul_mod(x, y, p, plus=pl).tolist() == want.tolist()
+    want = matmul_mod(x, y, p)
+    for dt in (np.int64, np.int32):
+        xd, yd = x.astype(dt), y.astype(dt)
+        assert exactlin._matmul_mod(xd, yd, p).tolist() == want.tolist()
         # a stack of two x's against one y, and one x against two y's
-        xs, ys = np.stack([x, x[::-1]]), np.stack([y, y[:, ::-1]])
-        pls = None if pl is None else np.stack([pl, pl])
-        got = exactlin._matmul_mod(xs, y, p, plus=pls)
-        assert got.tolist() == [want.tolist(), matmul_mod(x[::-1], y, p).tolist()
-                                if pl is None else ((matmul_mod(x[::-1], y, p) + pl) % p).tolist()]
-        got = exactlin._matmul_mod(x, ys, p, plus=pls)
-        assert got[0].tolist() == want.tolist()
-        assert got[1].tolist() == (want[:, ::-1] if pl is None
-                                   else (prod[:, ::-1] + pl) % p).tolist()
+        got = exactlin._matmul_mod(np.stack([xd, xd[::-1]]), yd, p)
+        assert got.tolist() == [want.tolist(), matmul_mod(x[::-1], y, p).tolist()]
+        got = exactlin._matmul_mod(xd, np.stack([yd, yd[:, ::-1]]), p)
+        assert got.tolist() == [want.tolist(), want[:, ::-1].tolist()]
 
 
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))

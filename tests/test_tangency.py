@@ -85,8 +85,18 @@ def test_contact_coranks_of_no_points_is_empty():
 def test_contact_corank_rejects_non_contact_point():
     s, pts, ker = points_and_kernel(5, 4)
     stranger = random_point(s, SplitMix64(1234), P)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not tangent at point 0"):
         contact_corank(s, ker[0], stranger, P)
+    with pytest.raises(ValueError, match="not tangent at point 1"):
+        contact_coranks(s, ker[0], [pts[0], stranger, pts[1]], P)
+
+
+@pytest.mark.parametrize("p", [4, 2**32 + 15])
+def test_contact_coranks_reject_a_modulus_that_is_not_a_small_prime(p):
+    # the stacked rank is exact only for a prime p < 2**31; both moduli
+    # used to give (3,)
+    with pytest.raises(ValueError, match="modulus"):
+        contact_coranks(ProductShape.binary(3), [0] * 8, [[[1, 2]] * 3], p)
 
 
 @pytest.mark.parametrize("probe", [secant_dim_probe, weak_defectivity_probe])
