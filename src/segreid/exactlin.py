@@ -89,9 +89,11 @@ _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111E
 def check_prime(p: int) -> int:
     """Validate a modulus for int32 residues and int64 products.
 
-    Requires 3 <= p < 2**31 and primality: p is odd and has no divisor
-    among the odd numbers from 3 to isqrt(p).
+    Requires an integer, not a float or string, with 3 <= p < 2**31, and
+    primality: p is odd and has no divisor among 3, 5, ..., isqrt(p).
     """
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"modulus {p!r} is not an integer")
     p = int(p)
     if not 3 <= p < 2**31:
         raise ValueError(f"modulus {p} out of range: need 3 <= p < 2**31")

@@ -16,11 +16,10 @@ points a caller supplies.  Tangent data is the affine tangent
 frame (``_frames``): the embedded point plus the partials of that
 chart's parametrization, the single-slot substitutions
 q_1 x ... x e_j (slot i) x ... x q_m with j >= 1, so a frame has
-1 + sum(n_i) rows; the Terracini matrices stack them.  The contact
-Hessians of ``tangency`` take factor halves' frames with j >= 0.  All
-are int32, built from partial products per point
-(``_partial_products``), the Kronecker products of the factors before
-and after each slot.
+1 + sum(n_i) rows; the Terracini matrices stack them, and the contact
+Hessians of ``tangency`` contract factor halves' frames.  All are
+int32, built from partial products per point (``_partial_products``),
+the Kronecker products of the factors before and after each slot.
 """
 
 from __future__ import annotations
@@ -163,23 +162,21 @@ def _partial_products(qs: tuple[np.ndarray, ...], p: int) -> tuple[list, list]:
 _FRAME_CHUNK = 1 << 20
 
 
-def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
-    """Per point: the embedded point, then each substitution with j >= ``first``.
+def _frames(qs: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """Affine tangent frames: the embedded point, then each substitution with j >= 1.
 
     ``qs`` holds each factor's coordinates, (N, n_i + 1), in the chart
-    (``coerce_points``); Terracini frames take ``first`` = 1, the halves
-    of ``tangency._fill`` 0.  Returns (N, rows, S) int32 residues, S the
-    product of the sizes: row 0 is the embedding ``before[m] x q_m``, and
-    the rows after it hold ``before[i] x e_j x after[i]``
-    (``_partial_products``), slot by slot and j from ``first`` up, as
-    ``before[i] x after[i]`` in slot value j of the row's
-    (B_i, n_i + 1, A_i) view.  A chunk of points is built at a time, so
-    that the int64 partial products stay within ``_FRAME_CHUNK`` bytes
-    (one point at least).
+    (``coerce_points``).  Returns (N, 1 + sum(n_i), S) int32 residues, S
+    the product of the sizes: row 0 is the embedding ``before[m] x q_m``,
+    then ``before[i] x e_j x after[i]`` (``_partial_products``), slot by
+    slot and j from 1 up, as ``before[i] x after[i]`` in slot value j of
+    the row's (B_i, n_i + 1, A_i) view.  A chunk of points is built at a
+    time, so that the int64 partial products stay within
+    ``_FRAME_CHUNK`` bytes (one point at least).
     """
     n = len(qs[0])
     cols = math.prod(f.shape[1] for f in qs)
-    out = np.zeros((n, 1 + sum(f.shape[1] - first for f in qs), cols), dtype=np.int32)
+    out = np.zeros((n, 1 + sum(f.shape[1] - 1 for f in qs), cols), dtype=np.int32)
     step = max(1, _FRAME_CHUNK // (8 * cols * 8))
     for c in range(0, n, step):
         chunk, frames = tuple(f[c : c + step] for f in qs), out[c : c + step]
@@ -190,7 +187,7 @@ def _frames(qs: tuple[np.ndarray, ...], p: int, first: int) -> np.ndarray:
             wb, wa = b.shape[1], a.shape[1]
             slots = frames.reshape(len(frames), -1, wb, cols // (wb * wa), wa)
             ba = _kron(b, a, p).reshape(len(frames), wb, wa)
-            for j in range(first, slots.shape[3]):
+            for j in range(1, slots.shape[3]):
                 slots[:, row, :, j] = ba
                 row += 1
     return out

@@ -16,11 +16,18 @@ the product.  Its local size is what decides weak defectivity:
 * positive corank is evidence only and is never used to certify.
 
 Residuals and Jacobian entries are exact multilinear contractions of
-the hyperplane tensor, never finite differences.  The Hessians of the
-form at all k+1 contact points of a trial are filled by divide and
+the hyperplane tensor, never finite differences.  Only the Jacobian's
+chart rows are formed, in the chart of ``segre``: the symmetric
+dim X x dim X Hessian of h(q) in the variables x_(l,c), c >= 1.  At a
+contact point they have the Jacobian's rank.  As sum_j q_ij r_(i,j) =
+h(q), for l != i sum_j q_ij dr_(i,j)/dx_(l,c) = dh(q)/dx_(l,c) =
+r_(l,c), and factor i's rows are zero in factor i's columns; there
+every r vanishes and q_i0 != 0, so row (i, 0) = -q_i0^-1 sum_(j>=1)
+q_ij row (i, j).  Tangency is checked before any rank is taken.  The
+Hessians at all k+1 contact points of a trial are filled by divide and
 conquer over the factors, in exact products batched over the points
 (``_fill``), whose leaves are the residuals; one pivot pass over the
-stack of chart Jacobians ranks them all (``contact_coranks``).
+stack ranks them all (``contact_coranks``).
 """
 
 from __future__ import annotations
@@ -116,55 +123,48 @@ def tangent_hyperplanes(shape: ProductShape, points, p: int) -> np.ndarray:
 
 
 def _hessians(shape: ProductShape, h, qs, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal Hessians and residuals of h(q_1, ..., q_m) at N points.
+    """Chart Hessians and residuals of h(q_1, ..., q_m) at N points.
 
     ``qs`` holds each factor's coordinates at the points, (N, n_i + 1)
-    residues per factor.  Hessians (N, R, R), R = sum(n_i + 1), in
-    blocks by factor: block (a, b), a != b, is h contracted with q_l in
+    residues per factor.  Hessians (N, dim X, dim X), rows (i, j), j >= 1,
+    in blocks by factor: block (a, b), a != b, is h contracted with q_l in
     every slot l other than a and b, and the diagonal blocks are zero.
-    Residuals (N, R): block a is h contracted in every slot but a.  Both
-    are filled by divide and conquer over the factors (``_fill``).
+    Residuals (N, R), R = sum(n_i + 1): block a is h contracted in every
+    slot but a.  Both are filled by divide and conquer (``_fill``).
     """
     t = _hyperplane_tensor(shape, h, p).reshape(1, -1)
-    rows = sum(shape.coord_sizes)
-    hess = np.zeros((len(qs[0]), rows, rows), dtype=np.int64)
-    res = np.empty(hess.shape[:2], dtype=np.int64)
+    hess = np.zeros((len(qs[0]), shape.dim, shape.dim), dtype=np.int64)
+    res = np.empty((len(qs[0]), sum(shape.coord_sizes)), dtype=np.int64)
     _fill(hess, res, t, qs, p)
     return hess, res
 
 
 def _fill(hess: np.ndarray, res: np.ndarray, t: np.ndarray, qs, p: int) -> None:
-    """Fill ``hess``, the (N, R, R) diagonal block of the run of factors
-    ``qs``, and ``res``, its (N, R) residuals, from ``t``: h contracted
-    with every factor outside the run, (N, S) per point, or (1, S)
-    shared; at a leaf, one factor, ``t`` is the residual block.  With
-    halves L and R, embeddings E and frames F (int32 ``segre._frames``,
-    j >= 0, E in row 0), the cross blocks are ``F_L t F_R^T``, and L and
-    R recurse on ``t E_R^T`` and ``E_L t``, row 0 of ``[E_L; F_L] t``:
-    three ``_matmul_mod`` stacks, a shared ``t`` taking all points as
-    rows of one product.  Their inner dimensions are the halves'
-    coordinate counts.
+    """Fill ``hess``, the (N, D, D) diagonal block of the run of factors
+    ``qs``, D its sum(n_i), and ``res``, its (N, D + len(qs)) residuals,
+    from ``t``: h contracted with every factor outside the run, (N, S)
+    per point, or (1, S) shared; at a leaf, one factor, ``t`` is the
+    residual block.  With halves L and R, embeddings E and frames F
+    (int32 ``segre._frames``, E in row 0), the cross blocks are
+    ``F_L t F_R^T``, and L and R recurse on ``t E_R^T`` and ``E_L t``,
+    row 0 of ``[E_L; F_L] t``: three ``_matmul_mod`` stacks, a shared
+    ``t`` taking all points as rows of one product.  Their inner
+    dimensions are the halves' coordinate counts.
     """
     if len(qs) == 1:
         res[...] = t
         return
     half = len(qs) // 2
-    left, right = _frames(qs[:half], p, 0), _frames(qs[half:], p, 0)
-    n, r_l, s_l = len(left), left.shape[1] - 1, left.shape[2]
+    left, right = _frames(qs[:half], p), _frames(qs[half:], p)
+    n, d_l, s_l = len(left), left.shape[1] - 1, left.shape[2]
     t = t.reshape(len(t), s_l, -1)
-    lt = _matmul_mod(left.reshape(len(t), -1, s_l), t, p).reshape(n, r_l + 1, -1)
+    lt = _matmul_mod(left.reshape(len(t), -1, s_l), t, p).reshape(n, d_l + 1, -1)
     t_l = _matmul_mod(right[:, 0].reshape(len(t), -1, t.shape[2]), t.transpose(0, 2, 1), p)
     cross = _matmul_mod(lt[:, 1:], right[:, 1:].transpose(0, 2, 1), p)
-    hess[:, :r_l, r_l:] = cross
-    hess[:, r_l:, :r_l] = cross.transpose(0, 2, 1)
-    _fill(hess[:, :r_l, :r_l], res[:, :r_l], t_l.reshape(n, s_l), qs[:half], p)
-    _fill(hess[:, r_l:, r_l:], res[:, r_l:], lt[:, 0], qs[half:], p)
-
-
-def _chart_columns(shape: ProductShape) -> np.ndarray:
-    """Hessian columns of the chart's variables: all but slot 0 of each factor."""
-    at = np.cumsum((0,) + shape.coord_sizes)
-    return np.delete(np.arange(at[-1]), at[:-1])
+    hess[:, :d_l, d_l:] = cross
+    hess[:, d_l:, :d_l] = cross.transpose(0, 2, 1)
+    _fill(hess[:, :d_l, :d_l], res[:, : d_l + half], t_l.reshape(n, s_l), qs[:half], p)
+    _fill(hess[:, d_l:, d_l:], res[:, d_l + half :], lt[:, 0], qs[half:], p)
 
 
 # Not exported; kept because bench/spans.py wraps these three by name.
@@ -179,25 +179,23 @@ def tangency_residuals(shape: ProductShape, h, point, p: int) -> np.ndarray:
 
 
 def contact_jacobian(shape: ProductShape, h, point, p: int) -> np.ndarray:
-    """Derivative of the residual vector in the chart of ``coerce_points``.
+    """Chart rows (module docstring) of the residuals' derivative in the chart.
 
     The chart freezes coordinate 0 of every factor, leaving sum(n_i)
-    variables.  Row (i, j) depends multilinearly on the factors other
-    than i, so its derivative along slot (l, c) with l != i is h
+    variables.  Row (i, j), j >= 1, depends multilinearly on the factors
+    other than i, so its derivative along slot (l, c) with l != i is h
     contracted with e_j in slot i and e_c in slot l, and the factor-i
-    columns of the factor-i rows are zero.  Shape
-    (sum(n_i + 1), sum(n_i)).
+    columns of the factor-i rows are zero.  Shape (sum(n_i), sum(n_i)).
     """
-    qs = coerce_points(shape, [point], p)
-    return _hessians(shape, h, qs, p)[0][0][:, _chart_columns(shape)]
+    return _hessians(shape, h, coerce_points(shape, [point], p), p)[0][0]
 
 
 def contact_coranks(shape: ProductShape, h, points, p: int) -> tuple[int, ...]:
     """Contact coranks at every point, from whole-stack passes.
 
-    The Hessians and residuals of all points are filled together
+    The chart Hessians and residuals of all points are filled together
     (``_hessians``), and one pivot pass over the stack ranks every chart
-    Jacobian (``exactlin._ranks``), exact for a prime p < 2**31.  Raises
+    Hessian (``exactlin._ranks``), exact for a prime p < 2**31.  Raises
     ValueError for any other p (``check_prime``); else naming the first
     point outside the chart (``coerce_points``), or else the first point
     whose residuals do not vanish.
@@ -216,7 +214,7 @@ def _contact_coranks(shape: ProductShape, h, qs, p: int) -> tuple[int, ...]:
         raise ValueError(
             f"hyperplane is not tangent at point {bad[0]}: residuals do not vanish"
         )
-    return tuple(shape.dim - int(r) for r in _ranks(hess[:, :, _chart_columns(shape)], p))
+    return tuple(shape.dim - int(r) for r in _ranks(hess, p))
 
 
 def contact_corank(shape: ProductShape, h, point, p: int) -> int:

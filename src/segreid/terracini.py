@@ -44,7 +44,7 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    return _frames(coerce_points(shape, points, p), p, 1).reshape(-1, shape.ambient_dim + 1)
+    return _frames(coerce_points(shape, points, p), p).reshape(-1, shape.ambient_dim + 1)
 
 
 def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
@@ -63,6 +63,8 @@ def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
         raise ValueError("k must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
     rng = SplitMix64(seed)
     for _ in range(trials):
         qs = _random_points(shape, rng, prime, k + 1)

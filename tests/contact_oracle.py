@@ -76,6 +76,14 @@ def _check_chart(shape: ProductShape, q, chart, p: int) -> tuple[int, ...]:
     return chart
 
 
+def chart_rows(shape: ProductShape) -> np.ndarray:
+    """Indices of the chart rows (i, j), j >= 1, among the sum(n_i + 1)
+    residual rows: the rows ``segreid.tangency`` forms of the Jacobian
+    in the chart that freezes slot 0."""
+    at = np.cumsum((0,) + shape.coord_sizes)
+    return np.delete(np.arange(at[-1]), at[:-1])
+
+
 def contact_jacobian(shape: ProductShape, h, point, p: int, chart=None) -> np.ndarray:
     """Derivative of the residual vector in an affine chart.
 

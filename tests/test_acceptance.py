@@ -311,7 +311,7 @@ def _suite_first_order(rng):
             v = np.array([rng.residue(p) for _ in range(s.dim)], dtype=np.int64)
             val, eps = first_order_residuals(s, h, q, v, p)
             assert not val.any()
-            assert (eps == matmul_mod(jac, v, p)).all()
+            assert (eps[oracle.chart_rows(s)] == matmul_mod(jac, v, p)).all()
             cases += 1
     return cases
 

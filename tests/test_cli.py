@@ -99,6 +99,13 @@ def test_widened_seeds_stay_below_2_64():
     assert summary["defect_status"] == "defective (computational evidence)"
 
 
+def test_run_probe_refuses_a_seed_its_stream_would_not_use():
+    # the CLI's --seed refuses these too; run_probe leaves it to the probe
+    for seed in (-1, 2**64, 1.7):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*64\)"):
+            cli.run_probe(ProductShape.binary(4), 2, primes=(65521,), seed=seed)
+
+
 def test_probe_general_shape(capsys):
     code, lines = run(
         capsys, "probe", "--shape", "1,2", "-k", "1", "--primes", P1

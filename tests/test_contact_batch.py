@@ -2,12 +2,13 @@
 
 ``contact_oracle`` holds the per-point, per-pair contractions and the
 per-point frame builder that the batched code replaced.  Residuals,
-Jacobians in every chart, coranks and Terracini matrices must match it
-byte for byte, for binary and unequal factor sizes, at a small, a
-medium and the largest admissible prime.
+chart Hessians (the chart rows of the oracle's Jacobian), coranks and
+Terracini matrices must match it byte for byte, for binary and unequal
+factor sizes, at a small, a medium and the largest admissible prime.
+At contact points the rows left out are combinations of the chart rows,
+so the oracle's whole Jacobian has the rank of the chart Hessian.
 """
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -35,13 +36,15 @@ def same_terracini(s, pts, p):
     return got.dtype == np.int32 and got.shape == want.shape and got.tolist() == want.tolist()
 
 
-def batch(s, h, pts, p, chart):
-    """Residuals, and Jacobians in the chart freezing slot chart[i] of
-    factor i, of every point from one pass."""
+def batch(s, h, pts, p):
+    """Residuals and chart Hessians of every point from one pass."""
     hess, res = tangency._hessians(s, h, coerce_points(s, pts, p), p)
-    at = np.cumsum((0,) + s.coord_sizes)
-    cols = np.delete(np.arange(at[-1]), at[:-1] + np.array(chart))
-    return res, hess[:, :, cols]
+    return res, hess
+
+
+def oracle_chart_block(s, h, q, p):
+    """The oracle's Jacobian in the slot-0 chart, on the chart rows only."""
+    return oracle.contact_jacobian(s, h, q, p)[oracle.chart_rows(s)]
 
 
 def contact_case(dims, p, seed=0):
@@ -62,25 +65,63 @@ def contact_case(dims, p, seed=0):
     return s, pts, h
 
 
-def all_charts(s):
-    return list(itertools.product(*(range(d) for d in s.coord_sizes)))
-
-
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
 def test_batch_matches_oracle(dims, p):
     s, pts, h = contact_case(dims, p)
     assert same_terracini(s, pts, p)
-    for chart in all_charts(s):
-        res, jac = batch(s, h, pts, p, chart)
-        for q, r_q, j_q in zip(pts, res, jac):
-            assert same(r_q, oracle.tangency_residuals(s, h, q, p))
-            assert same(j_q, oracle.contact_jacobian(s, h, q, p, chart))
+    res, jac = batch(s, h, pts, p)
+    for q, r_q, j_q in zip(pts, res, jac):
+        assert same(r_q, oracle.tangency_residuals(s, h, q, p))
+        assert same(j_q, oracle_chart_block(s, h, q, p))
     want = []
     for q in pts:
         assert not oracle.tangency_residuals(s, h, q, p).any()
         want.append(s.dim - ff_rank(oracle.contact_jacobian(s, h, q, p), p))
     assert contact_coranks(s, h, pts, p) == tuple(want)
+
+
+def assert_chart_rows_carry_the_rank(s, h, pts, p):
+    """At each contact point row (i, 0) of the oracle's Jacobian is
+    -q_i0^-1 sum_(j>=1) q_ij row (i, j), and the whole Jacobian has the
+    rank of the chart Hessian the package forms; returns the coranks."""
+    at = np.cumsum((0,) + s.coord_sizes)
+    coranks = []
+    for q in pts:
+        assert not oracle.tangency_residuals(s, h, q, p).any()
+        jac = oracle.contact_jacobian(s, h, q, p)
+        for i, f in enumerate(q):
+            rows = jac[at[i] : at[i + 1]].astype(object)
+            comb = -pow(int(f[0]), -1, p) * (f[1:].astype(object) @ rows[1:]) % p
+            assert comb.tolist() == rows[0].tolist()
+        hess = contact_jacobian(s, h, q, p)
+        assert same(hess, oracle_chart_block(s, h, q, p))
+        assert ff_rank(jac, p) == ff_rank(hess, p)
+        coranks.append(s.dim - ff_rank(jac, p))
+    assert contact_coranks(s, h, pts, p) == tuple(coranks)
+    return coranks
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("dims", [(1,) * m for m in range(3, 9)] + [(1, 2, 3), (2, 3, 3)], ids=str)
+def test_slot0_rows_add_no_rank_at_contact_points(dims, p):
+    s, pts, h = contact_case(dims, p, seed=3)
+    assert_chart_rows_carry_the_rank(s, h, pts, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_slot0_rows_add_no_rank_where_coranks_are_one(p):
+    # five lines at k=4: every contact point has corank 1, so the Hessian
+    # is singular and the rows it leaves out are still combinations; over
+    # F_3 every coordinate is +-1, the points are special and the coranks
+    # larger, and the identity holds all the same
+    s = ProductShape.binary(5)
+    rng = ScalarSplitMix64(7)
+    pts = [random_point(s, rng, p) for _ in range(5)]
+    ker = ff_kernel(oracle.terracini_matrix(s, pts, p), p)
+    h = (rng.nonzero_residue(p) * ker[0] + rng.nonzero_residue(p) * ker[1]) % p
+    coranks = assert_chart_rows_carry_the_rank(s, h, pts, p)
+    assert coranks == [1] * 5 if p > 3 else min(coranks) > 1
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
@@ -90,7 +131,7 @@ def test_one_point_batch_matches_oracle(dims):
     q = pts[0]
     assert same_terracini(s, [q], p)
     assert same(tangency_residuals(s, h, q, p), oracle.tangency_residuals(s, h, q, p))
-    assert same(contact_jacobian(s, h, q, p), oracle.contact_jacobian(s, h, q, p))
+    assert same(contact_jacobian(s, h, q, p), oracle_chart_block(s, h, q, p))
     want = s.dim - ff_rank(oracle.contact_jacobian(s, h, q, p), p)
     assert contact_coranks(s, h, [q], p) == (want,)
     assert contact_corank(s, h, q, p) == want
@@ -105,37 +146,30 @@ def test_largest_entries_match_oracle(dims):
     h = np.full(s.ambient_dim + 1, p - 1, dtype=np.int64)
     pts = [tuple(np.full(d, p - 1, dtype=np.int64) for d in s.coord_sizes)] * 2
     assert same_terracini(s, pts, p)
-    res, jac = batch(s, h, pts, p, (0,) * s.num_factors)
+    res, jac = batch(s, h, pts, p)
     for r_q, j_q in zip(res, jac):
         assert same(r_q, oracle.tangency_residuals(s, h, pts[0], p))
-        assert same(j_q, oracle.contact_jacobian(s, h, pts[0], p))
+        assert same(j_q, oracle_chart_block(s, h, pts[0], p))
     g = np.random.default_rng(len(dims))
     h = p - 1 - g.integers(0, 1 << 16, s.ambient_dim + 1)
     pts = [tuple(p - 1 - g.integers(0, 1 << 16, d) for d in s.coord_sizes) for _ in range(3)]
     assert same_terracini(s, pts, p)
-    res, jac = batch(s, h, pts, p, (0,) * s.num_factors)
+    res, jac = batch(s, h, pts, p)
     for q, r_q, j_q in zip(pts, res, jac):
         assert same(r_q, oracle.tangency_residuals(s, h, q, p))
-        assert same(j_q, oracle.contact_jacobian(s, h, q, p))
+        assert same(j_q, oracle_chart_block(s, h, q, p))
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("dims", [(1,) * 6, (1,) * 8, (1, 2, 3), (2, 3, 3)], ids=str)
 @pytest.mark.parametrize("per_chunk", [1, 3])
 def test_frames_across_chunks_match_oracle(monkeypatch, per_chunk, dims, p):
-    # seven points: chunks of one point, or of three with a last of one;
-    # first = 1 gives the Terracini frames, first = 0 every slot value,
-    # the embedding followed by the oracle's whole tangent frame
+    # seven points: chunks of one point, or of three with a last of one
     s = ProductShape(dims)
     rng = SplitMix64(11)
     pts = [random_point(s, rng, p) for _ in range(7)]
     monkeypatch.setattr(segre, "_FRAME_CHUNK", per_chunk * 8 * 8 * (s.ambient_dim + 1))
     assert same_terracini(s, pts, p)
-    got = segre._frames(coerce_points(s, pts, p), p, 0)
-    assert got.dtype == np.int32
-    for frame, q in zip(got, pts):
-        want = np.vstack([segre.segre_embed(s, q, p), oracle.tangent_frame(s, q, p)])
-        assert frame.shape == want.shape and frame.tolist() == want.tolist()
 
 
 def test_frames_stay_within_one_chunk_above_their_result():
@@ -149,7 +183,7 @@ def test_frames_stay_within_one_chunk_above_their_result():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = segre._frames(qs, p, 1)
+        out = segre._frames(qs, p)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

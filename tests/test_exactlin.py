@@ -95,7 +95,9 @@ def test_check_prime_accepts_defaults_and_small():
     # strong pseudoprimes to base 2; to bases 2 and 3; to bases 2, 3 and 5
     + [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]
     # Carmichael numbers; the square of the largest prime below 2**15.5
-    + [561, 1105, 1729, 2465, 2821, 6601, 8911, 46337**2],
+    + [561, 1105, 1729, 2465, 2821, 6601, 8911, 46337**2]
+    # not integers: a float would be truncated, a string parsed
+    + [7.9, 8.5, 2147483647.0, "7"],
 )
 def test_check_prime_rejects(bad):
     with pytest.raises(ValueError):

@@ -136,12 +136,13 @@ def test_first_order_matches_jacobian():
     h = (3 * ker[0] + 5 * ker[1]) % P
     q = pts[2]
     jac = contact_jacobian(s, h, q, P)
+    rows = oracle.chart_rows(s)
     rng = ScalarSplitMix64(11)
     for _ in range(10):
         v = np.array([rng.residue(P) for _ in range(s.dim)], dtype=np.int64)
         val, eps = first_order_residuals(s, h, q, v, P)
         assert not val.any()
-        assert (eps == matmul_mod(jac, v, P)).all()
+        assert (eps[rows] == matmul_mod(jac, v, P)).all()
 
 
 def test_first_order_value_part_off_contact():
@@ -159,10 +160,10 @@ def test_first_order_value_part_off_contact():
 def test_jacobian_shape_and_zero_block():
     s, pts, ker = points_and_kernel(5, 4)
     jac = contact_jacobian(s, ker[0], pts[0], P)
-    assert jac.shape == (10, 5)
+    assert jac.shape == (5, 5)
     # factor-i rows do not depend on the factor-i variable
     for i in range(5):
-        assert not jac[2 * i : 2 * i + 2, i].any()
+        assert not jac[i, i]
 
 
 def test_weak_probe_five_lines_k4():

@@ -191,6 +191,20 @@ def test_probe_argument_validation():
         secant_dim_probe(s, 1, prime=2147483646)
 
 
+@pytest.mark.parametrize("probe", [secant_dim_probe, weak_defectivity_probe])
+def test_probes_refuse_a_seed_their_stream_would_not_use(probe):
+    # SplitMix64 takes its seed mod 2**64 and int() truncates: -1 would
+    # draw the stream of 2**64 - 1, 2**64 seed 0's and 1.7 seed 1's, each
+    # recorded under a seed it never used
+    s = ProductShape.binary(4)
+    for seed in (-1, 2**64, 1.7, "0"):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*64\)"):
+            probe(s, 2, trials=1, prime=65521, seed=seed)
+    assert probe(s, 2, trials=1, prime=65521, seed=np.uint64(2**64 - 1)) == probe(
+        s, 2, trials=1, prime=65521, seed=2**64 - 1
+    )
+
+
 def _result(shape, k, prime, seed, observed):
     return SecantProbeResult(
         shape=shape,
