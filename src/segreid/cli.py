@@ -41,7 +41,7 @@ from .certificates import (
 from .exactlin import DEFAULT_PRIMES, check_prime
 from .segre import ProductShape
 from .tangency import identifiability_verdict, order_one_applicable, weak_defectivity_probe
-from .terracini import defect_status, secant_dim_probe
+from .terracini import _pins, defect_status, secant_dim_probe
 
 ENV_STORE = "SEGREID_STORE"
 
@@ -104,7 +104,9 @@ def run_probe(shape, k, trials=3, primes=DEFAULT_PRIMES, seed=0):
     seeds seed..seed+2 mod 2**64 (``SplitMix64``'s seeds) of the given
     primes, or of DEFAULT_PRIMES when fewer than 3 are given, so
     defect_status can tell a stable defect from an unlucky sample.
+    k, trials and seed are taken as Python ints first (``_pins``).
     """
+    k, trials, seed = _pins(k, trials, seed)
     runs = {(prime, seed): probe_cell(shape, k, trials, prime, seed) for prime in primes}
     if any(res.defect > 0 for res, _ in runs.values()):
         grid_primes = primes if len(primes) >= 3 else DEFAULT_PRIMES

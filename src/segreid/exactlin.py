@@ -25,10 +25,10 @@ or below a row lies in the window exactly when the window's column has
 one, so up to the first column with none the window finds the pivots
 and row swaps of the whole matrix, and the rows below it take their
 multipliers and the rest of the panel as two products.  The columns
-from there take the pivot loop on all rows.  A matrix of at most
-``_PLAIN_MAX_COLS`` columns is factored by the pivot loop alone.
-Kernel vectors, one or a whole basis, come from one block
-back-substitution on the factored form (``_kernel``).
+from there take the pivot loop on all rows.  Every matrix, of any
+shape, empty ones included, takes this one path.  Kernel vectors, one
+or a whole basis, come from one block back-substitution on the
+factored form (``_kernel``).
 
 The products run on float64 BLAS, and every sum they form stays below
 2**53, where float64 is exact, so the results do not depend on the
@@ -72,6 +72,7 @@ plain row-by-row elimination.
 
 from __future__ import annotations
 
+import operator
 from math import isqrt, prod
 
 import numpy as np
@@ -89,10 +90,11 @@ _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111E
 def check_prime(p: int) -> int:
     """Validate a modulus for int32 residues and int64 products.
 
-    Requires an integer, not a float or string, with 3 <= p < 2**31, and
-    primality: p is odd and has no divisor among 3, 5, ..., isqrt(p).
+    Requires an integer, not a bool, float or string, with 3 <= p < 2**31,
+    and primality: p is odd and has no divisor among 3, 5, ..., isqrt(p).
+    Returns p as a Python int.
     """
-    if not isinstance(p, (int, np.integer)):
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise ValueError(f"modulus {p!r} is not an integer")
     p = int(p)
     if not 3 <= p < 2**31:
@@ -138,7 +140,9 @@ class SplitMix64:
         """``count`` uniform elements of F_p, as one int64 array, by
         rejection from the top of the u64 range: outputs below
         ``2**64 - 2**64 % p`` are kept, mod p, in stream order; each
-        round draws as many outputs as are still missing."""
+        round draws as many outputs as are still missing.  A numpy
+        integer p is taken as its Python int."""
+        p = operator.index(p)
         top = np.uint64((1 << 64) - ((1 << 64) % p) - 1)
         kept = [np.empty(0, dtype=np.uint64)]
         while count:
@@ -165,8 +169,11 @@ def _integer_array(data) -> np.ndarray:
 
 
 def _as_matrix(mat, p: int) -> np.ndarray:
-    """A fresh int32 residue matrix: ``mat`` reduced mod p, at least 2-D."""
+    """A fresh int32 residue matrix: ``mat`` reduced mod p, at least 2-D;
+    ValueError, naming the shape, for more than 2 dimensions."""
     a = np.atleast_2d(_integer_array(mat))
+    if a.ndim > 2:
+        raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
     return np.remainder(a, p, out=np.empty(a.shape, dtype=np.int32))
 
 
@@ -176,10 +183,6 @@ _PANEL = 64
 # so the pivot loop's row updates on all rows stay this narrow; only on a
 # window of _PANEL rows do they span the rest of the panel.
 _SUB = 16
-# Up to this width the pivot loop alone is faster than the blocked
-# elimination, whose bookkeeping costs more than it saves on a
-# matrix of two panels.
-_PLAIN_MAX_COLS = 2 * _PANEL
 # Columns per slab of the trailing update.  Slabs of 96 and 128 columns
 # measured within 4% of each other at m=10, and 64 up to 4% slower; 96
 # keeps the workspace smaller.
@@ -253,15 +256,18 @@ def _workspace(rows: int, p: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for the products of an elimination of ``rows`` rows:
     the limbs of x, up to ``_PANEL`` columns of them for every row, the
     weighted y, and the float64 sum and the int64 result of a block of
-    ``_ROWS`` rows, ``max(_SLAB, _PANEL)`` columns wide.  Only the limbs
-    grow with the matrix, at most ``2 * _PANEL`` words a row at p < 2**31.
-    The sum's memory also holds ``L11^-1`` balanced, the limb buffer
-    past a window's limbs its balanced x, and the sum's and the
-    result's the int64 temporaries of the weights."""
+    ``_ROWS`` rows, or of all the rows of a shorter matrix,
+    ``max(_SLAB, _PANEL)`` columns wide.  Only the limbs grow with the
+    matrix, at most ``2 * _PANEL`` words a row at p < 2**31.  The sum's
+    memory also holds ``L11^-1`` balanced, the limb buffer past a
+    window's limbs its balanced x, and the sum's and the result's the
+    int64 temporaries of the weights: each has at most ``_PANEL`` rows
+    and no more than the matrix."""
     w = _limb_rule(p, _PANEL)[1] * _PANEL
     cols = max(_SLAB, _PANEL)
-    return (np.empty(rows * w), np.empty(w * cols), np.empty(_ROWS * cols),
-            np.empty(_ROWS * cols, dtype=np.int64))
+    block = min(rows, _ROWS) * cols
+    return (np.empty(rows * w), np.empty(w * cols), np.empty(block),
+            np.empty(block, dtype=np.int64))
 
 
 def _balance(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -535,7 +541,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     its pivot column, the pivot value (L's diagonal; U's is 1 and not
     stored) at it, and left of it zeros except in the pivot columns of
     the rows above, which hold L's multipliers; the rows past the rank
-    hold multipliers only.  A matrix wider than ``_PLAIN_MAX_COLS`` is
+    hold multipliers only.  Every matrix, empty ones included, is
     factored in panels of ``_PANEL`` columns, each as sub-panels of
     ``_SUB`` columns, every step on a view of the rows still to be
     pivoted.  ``_window`` factors a sub-panel on the next ``_PANEL``
@@ -547,30 +553,26 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     skipping a column with no nonzero, and ``_update`` carries its
     pivots to the rest of the panel.  Then ``_update`` carries the
     panel's pivots to the columns right of it.  Every product of one
-    elimination shares one workspace, allocated here.  Narrower
-    matrices take the pivot loop alone.
+    elimination shares one workspace, allocated here.
     """
     rows, cols = a.shape
-    if cols <= _PLAIN_MAX_COLS:
-        pivots = _pivot_loop(a, p, 0, cols)
-    else:
-        pivots = []
-        work = _workspace(rows, p)
-        for c0 in range(0, cols, _PANEL):
-            c1 = min(c0 + _PANEL, cols)
-            r0 = len(pivots)
-            for s0 in range(c0, c1, _SUB):
-                s1 = min(s0 + _SUB, c1)
-                piv = _window(a[len(pivots) :], p, s0, s1, c1, work)
+    pivots = []
+    work = _workspace(rows, p)
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        r0 = len(pivots)
+        for s0 in range(c0, c1, _SUB):
+            s1 = min(s0 + _SUB, c1)
+            piv = _window(a[len(pivots) :], p, s0, s1, c1, work)
+            pivots += piv
+            s0 += len(piv)
+            if s0 < s1:
+                piv = _pivot_loop(a[len(pivots) :], p, s0, s1)
+                if piv and s1 < c1:
+                    _update(a[len(pivots) :], p, piv, s1, c1, work)
                 pivots += piv
-                s0 += len(piv)
-                if s0 < s1:
-                    piv = _pivot_loop(a[len(pivots) :], p, s0, s1)
-                    if piv and s1 < c1:
-                        _update(a[len(pivots) :], p, piv, s1, c1, work)
-                    pivots += piv
-            if len(pivots) > r0 and c1 < cols:
-                _update(a[r0:], p, pivots[r0:], c1, cols, work)
+        if len(pivots) > r0 and c1 < cols:
+            _update(a[r0:], p, pivots[r0:], c1, cols, work)
     return pivots
 
 

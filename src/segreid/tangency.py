@@ -53,6 +53,7 @@ from .segre import ProductShape, _frames, coerce_points
 from .terracini import (
     DEFECT_EVIDENCE,
     SecantProbeResult,
+    _pins,
     _trials,
     defect_status,
     expected_dim,
@@ -255,8 +256,11 @@ def weak_defectivity_probe(
     every corank 0 certifies non-k-weak-defectivity and stops the loop.
     When every trial shows a rank shortfall the coranks stay None: the
     shortfall itself is the finding, and it propagates as a defect
-    candidate.
+    candidate.  The pins are checked and recorded as Python ints
+    (``check_prime``, ``_pins``).
     """
+    prime = check_prime(prime)
+    k, trials, seed = _pins(k, trials, seed)
     if not order_one_applicable(shape, k):
         raise ValueError(
             "k*dim + dim + k must stay below the ambient dimension for a"

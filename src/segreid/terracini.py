@@ -47,24 +47,35 @@ def terracini_matrix(shape: ProductShape, points, p: int) -> np.ndarray:
     return _frames(coerce_points(shape, points, p), p).reshape(-1, shape.ambient_dim + 1)
 
 
+def _pins(k, trials, seed) -> tuple[int, int, int]:
+    """k, trials and seed, a probe's pins besides its prime
+    (``check_prime``), as Python ints, so that a numpy integer draws and
+    records its value.  Raises ValueError naming the pin for a bool or
+    other non-integer, for k or trials below 1, and for a seed outside
+    [0, 2**64), which ``SplitMix64`` would take mod 2**64 and so draw
+    the stream of another seed than the one recorded.
+    """
+    def pin(name, value, rule, holds):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not holds(int(value)):
+            raise ValueError(f"{name} {value!r} must be {rule}")
+        return int(value)
+
+    return (pin("k", k, "an integer >= 1", lambda v: v >= 1),
+            pin("trials", trials, "an integer >= 1", lambda v: v >= 1),
+            pin("seed", seed, "an integer in [0, 2**64)", lambda v: 0 <= v < 1 << 64))
+
+
 def _trials(shape: ProductShape, k: int, trials: int, prime: int, seed: int):
     """Yield (rng, points, Terracini matrix) once per trial of a probe.
 
     The k+1 points of a trial are drawn as one array and yielded stacked
     per factor, as ``coerce_points`` returns them; ``terracini_matrix``
-    validates them, once.  The arguments are checked when the first
-    trial is drawn.  The stream is yielded so that a probe's own draws
-    in a trial come before the next trial's points, the order every
-    recorded seed replays.  The caller drops each matrix before asking
-    for the next, so that no two are alive at once.
+    validates them, once.  The pins are the probe's, as ``_pins`` and
+    ``check_prime`` return them.  The stream is yielded so that a probe's
+    own draws in a trial come before the next trial's points, the order
+    every recorded seed replays.  The caller drops each matrix before
+    asking for the next, so that no two are alive at once.
     """
-    check_prime(prime)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
     rng = SplitMix64(seed)
     for _ in range(trials):
         qs = _random_points(shape, rng, prime, k + 1)
@@ -132,8 +143,11 @@ def secant_dim_probe(
     sound because the rank never exceeds expected_dim + 1, which equals
     min(rows, cols) of the Terracini matrix; a single attaining trial
     therefore settles the generic value and stops the loop early.  The
-    matrix is the probe's own, so it is factored in place.
+    matrix is the probe's own, so it is factored in place.  The pins
+    are checked and recorded as Python ints (``check_prime``, ``_pins``).
     """
+    prime = check_prime(prime)
+    k, trials, seed = _pins(k, trials, seed)
     exp = expected_dim(shape, k)
     best = -1
     for _, _, mat in _trials(shape, k, trials, prime, seed):

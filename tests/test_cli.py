@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segreid import cli
@@ -100,10 +101,28 @@ def test_widened_seeds_stay_below_2_64():
 
 
 def test_run_probe_refuses_a_seed_its_stream_would_not_use():
-    # the CLI's --seed refuses these too; run_probe leaves it to the probe
+    # the CLI's --seed refuses these too, and run_probe before any probe
     for seed in (-1, 2**64, 1.7):
         with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*64\)"):
             cli.run_probe(ProductShape.binary(4), 2, primes=(65521,), seed=seed)
+
+
+def unwalled(certs):
+    # the certificates' JSON lines without their wall times
+    return [dataclasses.replace(cert, wall_time_s=None).json_line() for cert in certs]
+
+
+@pytest.mark.parametrize("m, k", [(3, 1), (4, 2), (5, 4)])
+def test_numpy_pins_give_the_certificates_of_python_ints(m, k):
+    # m=3 takes the dimension probe, m=4 and m=5 the tangency probe, and
+    # m=4 widens to the 3x3 grid, whose seeds seed + i overflowed a
+    # numpy seed; every certificate must be written as JSON
+    shape = ProductShape.binary(m)
+    want = cli.run_probe(shape, k, trials=2, primes=(65521,), seed=2**64 - 2)
+    got = cli.run_probe(shape, np.int64(k), trials=np.int64(2), primes=(np.int64(65521),),
+                        seed=np.uint64(2**64 - 2))
+    assert unwalled(got[0]) == unwalled(want[0])
+    assert json.dumps(got[1]) == json.dumps(want[1]) and got[2] == want[2]
 
 
 def test_probe_general_shape(capsys):

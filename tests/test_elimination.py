@@ -7,9 +7,11 @@ basis holds the non-pivot part of the reduced form, and matching it
 checks the whole elimination although the package never forms that
 form.  ``_kernel`` on the factored form must return exactly the
 combinations of the basis it is given as free coordinates: one column,
-the probe's hyperplane, and three.  Matrices wider than
-``_PLAIN_MAX_COLS`` take the blocked path anyway; narrower ones run
-twice, once routed by width and once with the blocked path forced.
+the probe's hyperplane, and three.  Every matrix takes the one
+blocked path, which is checked at widths on both sides of the
+boundaries of one and of two panels, with the products over the rows
+below taken in the package's row blocks and in blocks of one panel's
+rows.
 The factored int32 matrix itself must equal the oracle's unblocked
 int64 CUP form value for value, with entries at the int32 limit, on
 Terracini matrices and where a sub-panel's window falls back to the
@@ -48,7 +50,8 @@ from segreid.terracini import terracini_matrix
 
 NB = exactlin._PANEL
 SUB = exactlin._SUB
-CROSSOVER = exactlin._PLAIN_MAX_COLS
+# the boundary between two panels and three
+CROSSOVER = 2 * NB
 PRIMES = (3, 65521, 2**31 - 1)
 # the int32 maximum, and the largest admissible modulus
 P31 = 2**31 - 1
@@ -59,8 +62,11 @@ WIDTHS = sorted({NB - 1, NB, NB + 1, CROSSOVER, CROSSOVER + 1, 2 * NB + 1})
 
 @pytest.fixture(params=["by-width", "blocked"])
 def path(request, monkeypatch):
+    # "by-width": products over the rows below in the package's blocks of
+    # _ROWS rows; "blocked": in blocks of NB rows, the least the workspace
+    # allows, so a matrix of NB + 1 to _ROWS rows takes several of them
     if request.param == "blocked":
-        monkeypatch.setattr(exactlin, "_PLAIN_MAX_COLS", 0)
+        monkeypatch.setattr(exactlin, "_ROWS", NB)
     return request.param
 
 
@@ -565,9 +571,9 @@ def test_entries_at_int32_limit_match_oracle(path, cols, diagonal):
     # every entry p - 1, so any product taken in int32 would wrap; with
     # p - 2 on the diagonal the top square is -(J + I), of full rank, and
     # with 0 it is -(J - I), of full rank, whose first pivot lies below the
-    # diagonal, so a window swaps rows.  Blocked, with 2 * NB more rows
-    # than columns every sub-panel factors on a window, and its rows
-    # below take both products.
+    # diagonal, so a window swaps rows.  With 2 * NB more rows than
+    # columns every sub-panel factors on a window, and its rows below
+    # take both products.
     for rows in (cols + 3, cols + 2 * NB):
         m = np.full((rows, cols), P31 - 1, dtype=np.int64)
         np.fill_diagonal(m, diagonal)
@@ -599,10 +605,11 @@ def test_lower_inverse_at_int32_limit_matches_oracle(k):
 
 @pytest.mark.parametrize("m, k", [(6, 8), (7, 14), (8, 27), (9, 27), (10, 40), (10, 50)])
 def test_terracini_matrices_factor_as_oracle(m, k):
-    # the plain path at m = 6, 7 and the blocked one above, where m = 10
-    # takes 25 windows, 3 of them falling back, at k = 40 and 32, 5 of
-    # them falling back, at k = 50; two copies factored one after the
-    # other in one process share no buffer
+    # one panel at m = 6, 63 rows, each window the whole matrix; two
+    # panels at m = 7, 120 rows; m = 10 takes 25 windows, 3 of them
+    # falling back, at k = 40 and 32, 5 of them falling back, at k = 50;
+    # two copies factored one after the other in one process share no
+    # buffer
     mat = binary_terracini(m, k, P31)
     want, pivots = cup(mat, P31)
     assert mat.dtype == np.int32

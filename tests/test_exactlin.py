@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -82,6 +84,8 @@ def test_residue_ranges():
     assert 0 <= r.min() and r.max() < 97
     r = rng.nonzero_residues(97, 500)
     assert 1 <= r.min() and r.max() < 97
+    # a numpy modulus draws as its Python int; 2**64 % p overflowed in int64
+    assert SplitMix64(5).residues(np.int64(97), 9).tolist() == SplitMix64(5).residues(97, 9).tolist()
 
 
 def test_check_prime_accepts_defaults_and_small():
@@ -195,6 +199,24 @@ def test_kernel_exactness_and_size():
 def test_kernel_of_full_column_rank_is_empty():
     m = planted(ScalarSplitMix64(1), 10, 6, 6, P)
     assert ff_kernel(m, P).shape == (0, 6)
+
+
+@pytest.mark.parametrize("shape", [(0, 2 * 64 + 1), (2 * 64 + 1, 0), (0, 0)])
+def test_rank_and_kernel_of_empty_matrices(shape):
+    # past one 64-column panel; no rows leave every column free
+    m = np.zeros(shape, dtype=np.int64)
+    assert ff_rank(m, P) == 0
+    basis = ff_kernel(m, P)
+    assert basis.shape == (shape[1], shape[1])
+    assert basis.tolist() == np.eye(shape[1], dtype=np.int64).tolist()
+
+
+def test_rank_and_kernel_refuse_more_than_two_dimensions():
+    # numpy's "too many values to unpack" before
+    for f in (ff_rank, ff_kernel):
+        for shape in [(2, 3, 4), (1, 1, 1, 1), (0, 2, 2)]:
+            with pytest.raises(ValueError, match=f"got an array of shape {re.escape(str(shape))}"):
+                f(np.ones(shape, dtype=np.int64), P)
 
 
 def test_rank_nullity_on_random_matrices():

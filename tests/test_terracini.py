@@ -205,6 +205,28 @@ def test_probes_refuse_a_seed_their_stream_would_not_use(probe):
     )
 
 
+@pytest.mark.parametrize("probe", [secant_dim_probe, weak_defectivity_probe])
+def test_probes_record_numpy_pins_as_python_ints(probe):
+    # a numpy prime and k overflowed SplitMix64's Python-int arithmetic,
+    # and a numpy seed or trials was recorded as a numpy scalar
+    s = ProductShape.binary(4)
+    got = probe(s, np.int64(2), trials=np.int32(2), prime=np.int64(65521), seed=np.uint64(3))
+    assert got == probe(s, 2, trials=2, prime=65521, seed=3)
+    assert all(type(getattr(got, pin)) is int for pin in ("k", "trials", "prime", "seed"))
+
+
+@pytest.mark.parametrize("probe", [secant_dim_probe, weak_defectivity_probe])
+@pytest.mark.parametrize("pin, bad", [("k", True), ("k", 1.5), ("k", np.float64(2)),
+                                      ("trials", True), ("trials", 1.5), ("seed", True),
+                                      ("seed", np.bool_(True)), ("prime", True)])
+def test_probes_refuse_a_pin_that_is_no_integer(probe, pin, bad):
+    pins = {"k": 2, "trials": 1, "prime": 65521, "seed": 0, pin: bad}
+    k = pins.pop("k")
+    name = "modulus" if pin == "prime" else pin
+    with pytest.raises(ValueError, match=rf"^{name} {re.escape(repr(bad))} (must be|is not)"):
+        probe(ProductShape.binary(4), k, **pins)
+
+
 def _result(shape, k, prime, seed, observed):
     return SecantProbeResult(
         shape=shape,
