@@ -46,15 +46,20 @@ one product whose sums stay below
 ``per_call * n * 2**b * (p - 1) < 2**53`` (``_limb_product``): at
 every p < 2**31 all the limbs fit, at p = 2**31 - 1 two of 15 bits, as
 ``2 * 64 * 2**15 * (p - 1) < 2**53``.  The update splits the limbs of
-``L11^-1`` and ``-L21`` once for all its slabs.  Each product takes
-the rows below the pivot block in blocks of ``_ROWS`` rows against
-weights formed once for all the blocks; exact products do not depend
-on how the rows are grouped.  A block's product, rounded to int64 and
-plus a residue, is below ``2**53 + 2**31`` in magnitude.  An
-elimination allocates one workspace for all its products
-(``_workspace``), so they allocate nothing: the limbs of -L21, at most
-``2 * _PANEL`` words a row, and a block's sum and result, which do not
-grow with the matrix.
+``L11^-1`` and ``-L21`` once for all its slabs, L21 ``_ROWS`` rows at
+a time straight from the matrix, keeping the rows that hold a
+multiplier.  Each product takes the rows it writes in blocks of
+``_ROWS`` rows against weights formed once for all the blocks, a view
+of them or, by index, a block's gathered rows; exact products do not
+depend on how the rows are grouped.  A block's product, rounded to
+int64 and plus a residue, is below ``2**53 + 2**31`` in magnitude.  An
+elimination allocates one workspace (``_workspace``): the limbs of
+-L21, at most ``2 * _PANEL`` words a row, and a block's sum and
+result.  The products allocate nothing, and the pivot loop on all rows
+keeps its row update in the limb buffer, so beside the matrix only the
+workspace and the index of the rows holding a multiplier, one word a
+row, grow with the rows; every other temporary is bounded by a block
+or a panel.
 
 Every reduction of an int64 temporary but the smallest is a floor
 division, ``x - (x // p) * p`` (``_reduce``), which numpy vectorizes
@@ -126,8 +131,11 @@ class SplitMix64:
         self._state = self.seed
 
     def next_u64s(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs, as one uint64 array.  A negative
-        ``count`` raises ValueError before the state moves."""
+        """The next ``count`` outputs, as one uint64 array.  A numpy
+        integer ``count`` is taken as its Python int; a negative one
+        raises ValueError, and a float TypeError, before the state
+        moves."""
+        count = operator.index(count)
         if count < 0:
             raise ValueError(f"count {count} is negative")
         z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -141,8 +149,8 @@ class SplitMix64:
         rejection from the top of the u64 range: outputs below
         ``2**64 - 2**64 % p`` are kept, mod p, in stream order; each
         round draws as many outputs as are still missing.  A numpy
-        integer p is taken as its Python int."""
-        p = operator.index(p)
+        integer p or ``count`` is taken as its Python int."""
+        p, count = operator.index(p), operator.index(count)
         top = np.uint64((1 << 64) - ((1 << 64) % p) - 1)
         kept = [np.empty(0, dtype=np.uint64)]
         while count:
@@ -253,16 +261,21 @@ def _carve(buf: np.ndarray | None, shape: tuple, dtype=np.float64) -> np.ndarray
 
 
 def _workspace(rows: int, p: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for the products of an elimination of ``rows`` rows:
-    the limbs of x, up to ``_PANEL`` columns of them for every row, the
-    weighted y, and the float64 sum and the int64 result of a block of
-    ``_ROWS`` rows, or of all the rows of a shorter matrix,
-    ``max(_SLAB, _PANEL)`` columns wide.  Only the limbs grow with the
-    matrix, at most ``2 * _PANEL`` words a row at p < 2**31.  The sum's
-    memory also holds ``L11^-1`` balanced, the limb buffer past a
-    window's limbs its balanced x, and the sum's and the result's the
-    int64 temporaries of the weights: each has at most ``_PANEL`` rows
-    and no more than the matrix."""
+    """Flat buffers for an elimination of ``rows`` rows: the limbs of x,
+    up to ``_PANEL`` columns of them for every row, the weighted y, and
+    the float64 sum and the int64 result of a block of ``_ROWS`` rows,
+    or of all the rows of a shorter matrix, ``max(_SLAB, _PANEL)``
+    columns wide.  Only the limb buffer grows with the matrix, at most
+    ``2 * _PANEL`` words a row at p < 2**31.
+
+    Each buffer also serves while it is free.  The sum holds
+    ``L11^-1`` and a block of L21 balanced, the limb buffer past a
+    window's limbs its balanced x, and the sum and the result the int64
+    temporaries of the weights: each has at most ``_ROWS`` rows and no
+    more than the matrix.  Between products the limb buffer holds the
+    pivot loop's search flags, and on all rows its row update and the
+    update's quotient, each at most ``_SUB - 1`` int64 words a row, in
+    the ``_PANEL // 2`` words or more a row of each half."""
     w = _limb_rule(p, _PANEL)[1] * _PANEL
     cols = max(_SLAB, _PANEL)
     block = min(rows, _ROWS) * cols
@@ -322,10 +335,11 @@ def _weigh(y: np.ndarray, p: int, b: int, limbs: int,
 
 
 def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, out: np.ndarray,
-                  work: tuple[np.ndarray, ...], plus: bool = False) -> None:
-    """Write ``xl @ wy mod p`` to ``out``, or with ``plus``
+                  work: tuple[np.ndarray, ...], plus: bool = False,
+                  rows: np.ndarray | None = None) -> None:
+    """Write ``xl @ wy mod p`` to the rows of ``out``, or with ``plus``
     ``(out + xl @ wy) mod p``, one float64 product per block of
-    ``_ROWS`` rows.
+    ``_ROWS`` rows of ``xl``.
 
     ``xl`` holds all the limbs of some x, side by side (``_split``), and
     ``wy`` the matching weighted copies of some y (``_weigh``), so each
@@ -335,17 +349,20 @@ def _limb_product(xl: np.ndarray, wy: np.ndarray, p: int, out: np.ndarray,
     Each block's product is rounded to int64, ``out``'s residues added
     with ``plus`` and the sum reduced once, all in the sum and result
     buffers of ``work``, a ``_workspace``; ``wy`` has at most
-    ``max(_SLAB, _PANEL)`` columns.  ``out`` has ``xl``'s rows: a view
-    of the matrix, or the caller's gathered copy of its rows.
+    ``max(_SLAB, _PANEL)`` columns.  Row i of ``xl`` goes to row i of
+    ``out``, a view of the matrix, or to row ``rows[i]`` when ``rows``
+    is an index array: a block gathers and scatters only its own rows,
+    so no copy grows with ``out``.
     """
     for r in range(0, len(xl), _ROWS):
         x = xl[r : r + _ROWS]
         part = np.matmul(x, wy, out=_carve(work[2], (len(x), wy.shape[1])))
         acc = _carve(work[3], part.shape, np.int64)
         acc[...] = part
+        dst = slice(r, r + _ROWS) if rows is None else rows[r : r + _ROWS]
         if plus:
-            acc += out[r : r + _ROWS]
-        out[r : r + _ROWS] = _reduce(acc, p, part.view(np.int64))
+            acc += out[dst]
+        out[dst] = _reduce(acc, p, part.view(np.int64))
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -377,8 +394,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _pivot_loop(a: np.ndarray, p: int, c0: int, c1: int, c2: int | None = None,
-                stop: bool = False) -> list[int]:
+def _pivot_loop(a: np.ndarray, p: int, buf: np.ndarray, c0: int, c1: int,
+                c2: int | None = None, stop: bool = False) -> list[int]:
     """Factor columns ``[c0, c1)`` of ``a``, in place, pivoting from its first row down.
 
     ``a`` is a view of the rows still to be pivoted.  Returns the pivot
@@ -395,28 +412,43 @@ def _pivot_loop(a: np.ndarray, p: int, c0: int, c1: int, c2: int | None = None,
     nonzero entry from the next pivot row down is skipped, or with
     ``stop`` ends the loop: on a window of the rows, its first nonzero
     may lie below the window.
+
+    ``buf`` is the flat float64 limb buffer of a ``_workspace``, free
+    while the loop runs.  The search flags the column's nonzero entries
+    in it.  A row update of more than ``_PANEL**2`` entries, which only
+    the loop on all rows makes, at most ``_SUB - 1`` columns wide, goes
+    to its front half as int64 and the update's quotient to its back
+    half, from views taken once per call; so nothing the loop allocates
+    grows with the rows.  A window's update, at most ``_PANEL`` rows,
+    and a smaller one are fresh arrays, which numpy hands out faster
+    than a view of ``buf`` is cut.
     """
     rows = a.shape[0]
     c2 = c1 if c2 is None else c2
+    t = buf.view(np.int64)
+    half = t[len(t) // 2 :]
     pivots: list[int] = []
     for c in range(c0, c1):
         r = len(pivots)
         if r == rows:
             break
         if not a[r, c]:
-            nz = np.flatnonzero(a[r + 1 :, c])
-            if nz.size == 0:
+            # the first nonzero flag, or r itself where there is none
+            piv = r + int(np.not_equal(a[r:, c], 0, out=buf.view(np.bool_)[: rows - r]).argmax())
+            if piv == r:
                 if stop:
                     break
                 continue
-            piv = r + 1 + int(nz[0])
             a[[r, piv]] = a[[piv, r]]
         u = a[r, c + 1 : c2]
         u[...] = u * np.int64(pow(int(a[r, c]), -1, p)) % p
         rest = a[r + 1 :, c + 1 : c2]
         if rest.size:
-            t = np.multiply(a[r + 1 :, c, None], u, dtype=np.int64)
-            rest[...] = _reduce(np.subtract(rest, t, out=t), p)
+            x = q = None
+            if rest.size > _PANEL**2:
+                x, q = t[: rest.size].reshape(rest.shape), half[: rest.size].reshape(rest.shape)
+            x = np.multiply(a[r + 1 :, c, None], u, out=x, dtype=np.int64)
+            rest[...] = _reduce(np.subtract(rest, x, out=x), p, q)
         pivots.append(c)
     return pivots
 
@@ -464,34 +496,38 @@ def _update(a: np.ndarray, p: int, piv: list[int], c1: int, c2: int,
     ``A22 - L21 U12``, which is ``A22 + (-L21) U12``.  ``L11^-1`` and
     L21 are balanced and split into limbs once, side by side in
     ``work``'s limb buffer, and L21's limbs are negated, which gives
-    those of -L21.  Each slab weighs A12 and then U12 once and takes one
-    ``_limb_product`` for the pivot rows and one for the rows below.
-    ``work`` is a ``_workspace`` for the rows of ``a``, so the products
-    allocate nothing; only L21, gathered and balanced, and once a slab
-    the rows below when some hold no multiplier, gathered by index, are
-    copied.
+    those of -L21.  L21 is read ``_ROWS`` rows at a time, straight from
+    ``a``, balanced in the sum buffer and split into the limb buffer,
+    and only the rows that hold a multiplier keep their limbs: a row
+    without one keeps its entries.  Each slab weighs A12 and then U12
+    once and takes one ``_limb_product`` for the pivot rows and one for
+    the rows below, which writes to those rows alone, a view of them
+    all or their index.  ``work`` is a ``_workspace`` for the rows of
+    ``a``, so the products allocate nothing, and nothing but that index
+    grows with the rows.
     """
     k = len(piv)
     b, limbs, _ = _limb_rule(p, k)
     group = range(limbs)
     linv = _split(_balance(_lower_inverse(a[:k, piv], p), p, work[2]), p, b, group, work[0])
-    l21 = _balance(a[k:, piv], p)
-    hit = np.flatnonzero(l21.any(axis=1))
-    below, gather = slice(k, None), hit.size < len(l21)
-    if gather:
-        # rows without a multiplier keep their entries
-        l21, below = l21[hit], k + hit
-    l21 = _split(l21, p, b, group, work[0][linv.size :])
+    hit = np.empty(len(a) - k, dtype=np.intp)
+    n = 0
+    for r in range(k, len(a), _ROWS):
+        x = a[r : r + _ROWS, piv]
+        h = np.flatnonzero(x.any(axis=1))
+        if len(h) < len(x):
+            x = x[h]
+        _split(_balance(x, p, work[2]), p, b, group, work[0][linv.size + n * limbs * k :])
+        hit[n : n + len(h)] = h + (r - k)
+        n += len(h)
+    l21 = work[0][linv.size : linv.size + n * limbs * k].reshape(n, limbs * k)
     np.negative(l21, out=l21)
+    rows = None if n == len(hit) else hit[:n]
     for s0 in range(c1, c2, _SLAB):
         s = slice(s0, min(s0 + _SLAB, c2))
         _limb_product(linv, _weigh(a[:k, s], p, b, limbs, work), p, a[:k, s], work)
         wy = _weigh(a[:k, s], p, b, limbs, work)
-        # a view of the rows below, or their gathered copy
-        x = a[below, s]
-        _limb_product(l21, wy, p, x, work, plus=True)
-        if gather:
-            a[below, s] = x
+        _limb_product(l21, wy, p, a[k:, s], work, plus=True, rows=rows)
 
 
 def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
@@ -516,7 +552,7 @@ def _window(a: np.ndarray, p: int, s0: int, s1: int, c1: int,
     Returns the pivot columns, ``s0`` onward; the caller factors the
     rest of the sub-panel on all rows.
     """
-    k = len(_pivot_loop(a[:_PANEL], p, s0, s1, c1, stop=True))
+    k = len(_pivot_loop(a[:_PANEL], p, work[0], s0, s1, c1, stop=True))
     below, t = a[_PANEL:], s0 + k
     if k and len(below):
         b, limbs, _ = _limb_rule(p, k)
@@ -552,22 +588,28 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     the pivot loop factors the rest of the sub-panel on all rows,
     skipping a column with no nonzero, and ``_update`` carries its
     pivots to the rest of the panel.  Then ``_update`` carries the
-    panel's pivots to the columns right of it.  Every product of one
-    elimination shares one workspace, allocated here.
+    panel's pivots to the columns right of it.  Once every row holds a
+    pivot, the panel's update is all that is left.  Every product of
+    one elimination and the pivot loop share one workspace, allocated
+    here.
     """
     rows, cols = a.shape
     pivots = []
     work = _workspace(rows, p)
     for c0 in range(0, cols, _PANEL):
+        if len(pivots) == rows:
+            break
         c1 = min(c0 + _PANEL, cols)
         r0 = len(pivots)
         for s0 in range(c0, c1, _SUB):
+            if len(pivots) == rows:
+                break
             s1 = min(s0 + _SUB, c1)
             piv = _window(a[len(pivots) :], p, s0, s1, c1, work)
             pivots += piv
             s0 += len(piv)
             if s0 < s1:
-                piv = _pivot_loop(a[len(pivots) :], p, s0, s1)
+                piv = _pivot_loop(a[len(pivots) :], p, work[0], s0, s1)
                 if piv and s1 < c1:
                     _update(a[len(pivots) :], p, piv, s1, c1, work)
                 pivots += piv

@@ -25,10 +25,12 @@ and at the balanced extremes (p - 1) / 2 and (p + 1) / 2, whose limbs
 reach 2**b - 1 and -2**b.  Side-by-side limbs serve only the
 elimination, where n <= 64: there ``_limb_product`` must write the
 exact product at those extremes, with and without the destination's
-residues added, in one ``np.matmul`` call a block at every p; and an
-elimination's workspace must neither leak into a product a caller keeps
-nor be handed back to the system between products.  ``_reduce`` must
-agree with Python's ``%`` on int64 values of either sign.
+residues added, in one ``np.matmul`` call a block at every p, and
+given an index of rows across a block edge, write those rows and no
+other; and an elimination's workspace must neither leak into a product
+a caller keeps nor be handed back to the system between products.
+``_reduce`` must agree with Python's ``%`` on int64 values of either
+sign.
 """
 
 import operator
@@ -545,6 +547,30 @@ def test_elimination_product_takes_one_matmul(monkeypatch, p):
             exactlin._limb_product(xl, wy, p, mat[:, 1:-1], work, plus)
             assert len(calls) == 1 and mat[:, 1:-1].tolist() == want.tolist()
             assert (mat[:, [0, -1]] == p - 1).all()
+
+
+@pytest.mark.parametrize("plus", [False, True])
+@pytest.mark.parametrize("p", (3, 65521, P20, P31))
+def test_limb_product_writes_only_the_rows_given(p, plus):
+    # an index array of _ROWS + 3 rows, every other row from row 1, so
+    # that the second block of xl's rows lies past row _ROWS of the
+    # destination, a view of a wider matrix: exactly those rows take the
+    # oracle's product, and every other entry keeps its bytes
+    rows = exactlin._ROWS
+    rng = np.random.default_rng([61, p, plus])
+    idx = np.arange(1, 2 * rows + 7, 2)
+    n, cols = NB, exactlin._SLAB
+    b, limbs, _ = exactlin._limb_rule(p, n)
+    work = exactlin._workspace(2 * rows + 9, p)
+    x = rng.integers(0, p, (len(idx), n)).astype(np.int32)
+    y = rng.integers(0, p, (n, cols)).astype(np.int32)
+    xl = exactlin._split(exactlin._balance(x, p, work[2]), p, b, range(limbs), work[0])
+    wy = exactlin._weigh(y, p, b, limbs, work)
+    mat = rng.integers(0, p, (2 * rows + 9, cols + 2)).astype(np.int32)
+    want = mat.copy()
+    want[idx, 1:-1] = (matmul_mod(x, y, p) + plus * mat[idx, 1:-1].astype(np.int64)) % p
+    exactlin._limb_product(xl, wy, p, mat[:, 1:-1], work, plus, idx)
+    assert mat.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", (3, 65521, P20, P31))

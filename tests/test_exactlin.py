@@ -74,6 +74,23 @@ def test_negative_count_raises_before_the_state_moves(draw):
     assert rng.next_u64s(1).tolist() == [0xE220A8397B1DCDAF]
 
 
+@pytest.mark.parametrize("draw", ["next_u64s", "residues", "nonzero_residues"])
+def test_numpy_integer_count_draws_as_its_python_int(draw):
+    # count * _GAMMA overflowed as an np.int64 or np.uint64; a float count
+    # is refused before the state moves
+    def take(count):
+        rng = SplitMix64(0)
+        out = getattr(rng, draw)(*((count,) if draw == "next_u64s" else (97, count)))
+        return out.tolist() + [rng._state]
+
+    want = take(3)
+    assert take(np.int64(3)) == take(np.uint64(3)) == want
+    rng = SplitMix64(0)
+    with pytest.raises(TypeError):
+        getattr(rng, draw)(*((3.0,) if draw == "next_u64s" else (97, 3.0)))
+    assert rng._state == 0
+
+
 def test_splitmix64_seed_masked_to_64_bits():
     assert SplitMix64(2**64 + 7).seed == 7
 

@@ -75,7 +75,9 @@ def test_trial_matrix_is_the_terracini_matrix_of_its_draws(dims, p):
 
 def test_rank_probe_holds_one_int32_matrix():
     # the 1034x1024 Terracini matrix of m=10 k=93 is factored in place as
-    # int32: the peak stays below one int64 copy of it, 8.47 MB
+    # int32: the peak (6.17 MB measured, 6.47 MB while the elimination's
+    # temporaries grew with the rows) stays below one int64 copy of it,
+    # 8.47 MB
     s = ProductShape.binary(10)
     bound = 94 * (1 + s.dim) * (s.ambient_dim + 1) * 8
     tracemalloc.start()
@@ -93,8 +95,9 @@ def test_tangency_probe_holds_one_int32_matrix():
     # probe-m10's first cell, whose elimination's workspace holds the
     # limbs of all 451 rows of its 451x1024 matrix and the sum and result
     # of a block of rows: the peak (3.11 MB with fresh temporaries per
-    # product, 3.35 MB with a sum and result as tall as the matrix, 3.08
-    # MB with blocks) stays below one int64 copy of the matrix, 3.69 MB
+    # product, 3.35 MB with a sum and result as tall as the matrix, 3.09
+    # MB with blocks, 3.04 MB with no temporary growing with the rows)
+    # stays below one int64 copy of the matrix, 3.69 MB
     s = ProductShape.binary(10)
     bound = 41 * (1 + s.dim) * (s.ambient_dim + 1) * 8
     tracemalloc.start()
@@ -112,8 +115,9 @@ def test_rank_probe_workspace_grows_only_with_limbs():
     # m=11 k=169 factors its 2040x2048 matrix in place.  The elimination's
     # workspace grows with the rows only by -L21's limbs, 128 words a row,
     # and holds the sum and result of a block of _ROWS rows: 2.58 MB.
-    # Above the int32 matrix the peak stays below twice that (3.99 MB
-    # measured); with a sum and result as tall as the matrix, 320 words a
+    # Above the int32 matrix the peak stays below twice that (3.16 MB
+    # measured, 3.99 MB while the elimination's temporaries grew with the
+    # rows); with a sum and result as tall as the matrix, 320 words a
     # row, it was 6.48 MB.
     s = ProductShape.binary(11)
     rows = 170 * (1 + s.dim)
@@ -128,6 +132,27 @@ def test_rank_probe_workspace_grows_only_with_limbs():
     finally:
         tracemalloc.stop()
     assert peak - matrix < bound == 5_160_960
+
+
+def test_elimination_allocates_only_its_workspace():
+    # _eliminate alone on the m=11 k=169 trial matrix, 2040x2048: beside
+    # the matrix and its 2.58 MB workspace, only temporaries bounded by a
+    # block of rows or a panel and the index of the rows holding a
+    # multiplier, 0.27 MB measured.  L21 gathered and balanced on all
+    # rows, the rows below gathered once a slab and the pivot loop's
+    # int64 row update on all rows took 1.09 MB.
+    s = ProductShape.binary(11)
+    _, _, mat = next(_trials(s, 169, 1, P, 0))
+    work = sum(buf.nbytes for buf in exactlin._workspace(len(mat), P))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert len(exactlin._eliminate(mat, P)) == len(mat)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - work < 1 << 19
 
 
 def test_probe_three_lines_fills():
